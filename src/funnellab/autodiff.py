@@ -3,9 +3,16 @@
 A ``Tape`` records the forward computation as an ordered list of nodes
 (creation order is topological by construction); ``Tape.backward`` walks the
 list in reverse from a scalar root and accumulates exact partial derivatives
-into every reachable node. Parameters (``Param``) live outside the tape so
-they persist across training steps; ``Tape.watch`` binds them as leaf nodes
-for one forward/backward cycle.
+into every reachable node. A node's gradient is allocated on first touch, as
+a copy of its first contribution; nodes the root never reaches get zeros.
+Parameters (``Param``) live outside the tape so they persist across training
+steps; ``Tape.watch`` binds them as leaf nodes for one forward/backward cycle.
+
+A tape is single-use: ``backward`` ends by calling ``Tape.release``, which
+drops the tape's node list and so breaks the node <-> tape reference cycle.
+A released tape is freed by reference counting as soon as its nodes are, and
+a second ``backward`` on it raises ``ValueError``. Forward-only callers call
+``release`` once they have read the values they need.
 
 Tapes are single-threaded. Distinct tapes/models share no mutable state, so
 independent training runs can execute concurrently.
@@ -87,22 +94,49 @@ class Tape:
     def backward(self, root):
         """Accumulate d(root)/d(node) into every node at or before root.
 
-        ``root`` must be a scalar node on this tape. After the pass, watched
-        Params carry their gradients in ``.grad``; nodes unreachable from the
-        root are left with all-zero gradients.
+        ``root`` must be a scalar node on this tape. Each node's gradient is
+        allocated when the first contribution reaches it; a node nothing
+        reached runs no backward rule, and ends the pass with an all-zero
+        gradient. After the pass, watched Params carry their gradients in
+        ``.grad`` and the tape is released: it is single-use, and calling
+        ``backward`` on it again raises ``ValueError``.
         """
+        if self.nodes is None:
+            raise ValueError("tape was already released; record a new tape")
         if root.tape is not self:
             raise ValueError("backward root belongs to a different tape")
         if np.ndim(root.value) != 0:
             raise ValueError(f"backward root must be scalar, got shape {np.shape(root.value)}")
-        for node in self.nodes:
-            node.grad = np.zeros_like(node.value)
-        root.grad = np.ones_like(root.value)
-        for node in reversed(self.nodes[: root.index + 1]):
-            if node.backward_fn is not None:
-                node.backward_fn(node.grad)
-        for param, node in self._watched.items():
-            param.grad = node.grad
+        try:
+            root.grad = np.ones_like(root.value)
+            for node in reversed(self.nodes[: root.index + 1]):
+                if node.grad is not None and node.backward_fn is not None:
+                    node.backward_fn(node.grad)
+            for node in self.nodes:
+                if node.grad is None:
+                    node.grad = np.zeros_like(node.value)
+            for param, node in self._watched.items():
+                param.grad = node.grad
+        finally:
+            self.release()
+
+    def release(self):
+        """Drop the node list and the watched map, breaking the node <-> tape
+        reference cycle; nodes keep their values and gradients."""
+        self.nodes = None
+        self._watched = None
+
+
+def _accumulate(node, grad):
+    """Add one gradient contribution to ``node``.
+
+    The first contribution is copied, never kept: it may be another node's
+    gradient or a view of one, which a later ``+=`` must not change.
+    """
+    if node.grad is None:
+        node.grad = np.array(grad, dtype=np.float64)
+    else:
+        node.grad += grad
 
 
 def _as_node(tape, x):
@@ -111,10 +145,8 @@ def _as_node(tape, x):
 
 def relu(x):
     """Elementwise max(0, v); the subgradient at 0 is 0."""
-    mask = (x.value > 0).astype(np.float64)
-
     def backward_fn(out_grad):
-        x.grad += out_grad * mask
+        _accumulate(x, out_grad * (x.value > 0))
 
     return x.tape._record(np.maximum(x.value, 0.0), (x,), "relu", backward_fn)
 
@@ -133,7 +165,7 @@ def sigmoid(x):
     value = _stable_sigmoid_values(x.value)
 
     def backward_fn(out_grad):
-        x.grad += out_grad * value * (1.0 - value)
+        _accumulate(x, out_grad * value * (1.0 - value))
 
     return x.tape._record(value, (x,), "sigmoid", backward_fn)
 
@@ -144,8 +176,8 @@ def multiply(a, b):
         raise ValueError(f"multiply shape mismatch: {np.shape(a.value)} vs {np.shape(b.value)}")
 
     def backward_fn(out_grad):
-        a.grad += out_grad * b.value
-        b.grad += out_grad * a.value
+        _accumulate(a, out_grad * b.value)
+        _accumulate(b, out_grad * a.value)
 
     return a.tape._record(a.value * b.value, (a, b), "mul", backward_fn)
 
@@ -156,8 +188,8 @@ def add(a, b):
         raise ValueError(f"add shape mismatch: {np.shape(a.value)} vs {np.shape(b.value)}")
 
     def backward_fn(out_grad):
-        a.grad += out_grad
-        b.grad += out_grad
+        _accumulate(a, out_grad)
+        _accumulate(b, out_grad)
 
     return a.tape._record(a.value + b.value, (a, b), "add", backward_fn)
 
@@ -167,14 +199,14 @@ def scale(x, c):
     c = float(c)
 
     def backward_fn(out_grad):
-        x.grad += out_grad * c
+        _accumulate(x, out_grad * c)
 
     return x.tape._record(x.value * c, (x,), "scale", backward_fn)
 
 
 def reshape(x, shape):
     def backward_fn(out_grad):
-        x.grad += out_grad.reshape(x.value.shape)
+        _accumulate(x, out_grad.reshape(x.value.shape))
 
     return x.tape._record(x.value.reshape(shape), (x,), "reshape", backward_fn)
 
@@ -182,7 +214,7 @@ def reshape(x, shape):
 def vsum(x):
     """Sum all entries of a node into a scalar."""
     def backward_fn(out_grad):
-        x.grad += np.broadcast_to(out_grad, x.value.shape)
+        _accumulate(x, np.broadcast_to(out_grad, x.value.shape))
 
     return x.tape._record(x.value.sum(), (x,), "sum", backward_fn)
 
@@ -194,7 +226,7 @@ def concat(parts, axis=-1):
 
     def backward_fn(out_grad):
         for part, piece in zip(parts, np.split(out_grad, offsets, axis=axis)):
-            part.grad += piece
+            _accumulate(part, piece)
 
     value = np.concatenate([p.value for p in parts], axis=axis)
     return parts[0].tape._record(value, tuple(parts), "concat", backward_fn)
@@ -252,17 +284,17 @@ def dense_forward(layer, x):
         value = layer.weights.value @ x.value + layer.biases.value
 
         def backward_fn(out_grad):
-            w.grad += np.outer(out_grad, x.value)
-            b.grad += out_grad
-            x.grad += layer.weights.value.T @ out_grad
+            _accumulate(w, np.outer(out_grad, x.value))
+            _accumulate(b, out_grad)
+            _accumulate(x, layer.weights.value.T @ out_grad)
 
     elif x.value.ndim == 2:
         value = x.value @ layer.weights.value.T + layer.biases.value
 
         def backward_fn(out_grad):
-            w.grad += out_grad.T @ x.value
-            b.grad += out_grad.sum(axis=0)
-            x.grad += out_grad @ layer.weights.value
+            _accumulate(w, out_grad.T @ x.value)
+            _accumulate(b, out_grad.sum(axis=0))
+            _accumulate(x, out_grad @ layer.weights.value)
 
     else:
         raise ValueError(f"dense input must be 1-D or 2-D, got ndim {x.value.ndim}")
@@ -294,6 +326,8 @@ class EmbeddingTable:
         rows = tape.watch(self.rows)
 
         def backward_fn(out_grad):
+            if rows.grad is None:
+                rows.grad = np.zeros_like(rows.value)
             np.add.at(rows.grad, indices, out_grad)
 
         return tape._record(self.rows.value[indices], (rows,), "embed", backward_fn)
@@ -320,17 +354,24 @@ def weighted_bce(pred, labels, weights):
     p = np.clip(pred.value, CLAMP_EPS, 1.0 - CLAMP_EPS)
     losses = -(labels * np.log(p) + (1.0 - labels) * np.log1p(-p))
     value = np.sum(weights * losses)
-    in_range = ((pred.value > CLAMP_EPS) & (pred.value < 1.0 - CLAMP_EPS)).astype(np.float64)
 
     def backward_fn(out_grad):
+        in_range = (pred.value > CLAMP_EPS) & (pred.value < 1.0 - CLAMP_EPS)
         dp = weights * (-(labels / p) + (1.0 - labels) / (1.0 - p)) * in_range
-        pred.grad += out_grad * dp
+        _accumulate(pred, out_grad * dp)
 
     return pred.tape._record(value, (pred,), "weighted_bce", backward_fn)
 
 
 class Adam:
-    """First/second-moment adaptive optimizer with bias correction."""
+    """First/second-moment adaptive optimizer with bias correction.
+
+    Both moments live in flat arrays over all parameters (``_m`` and ``_v``
+    hold per-parameter views of them). Each step gathers every gradient into
+    one preallocated buffer, checks it for finiteness once and updates it in
+    one vectorised pass; each parameter's array is then updated in place, so
+    callers holding a ``Param.value`` keep seeing the live weights.
+    """
 
     def __init__(self, params, lr, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
         self.params = list(params)
@@ -339,25 +380,53 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros_like(p.value) for p in self.params]
-        self._v = [np.zeros_like(p.value) for p in self.params]
+        n = sum(p.value.size for p in self.params)
+        self._grad = np.empty(n)
+        self._step = np.empty(n)
+        self._denom = np.empty(n)
+        self._m_flat = np.zeros(n)
+        self._v_flat = np.zeros(n)
+        self._m, self._v, self._steps = [], [], []
+        start = 0
+        for p in self.params:
+            end = start + p.value.size
+            self._m.append(self._m_flat[start:end].reshape(p.value.shape))
+            self._v.append(self._v_flat[start:end].reshape(p.value.shape))
+            self._steps.append(self._step[start:end].reshape(p.value.shape))
+            start = end
 
     def step(self):
+        grads = [p.grad for p in self.params]
+        for param, g in zip(self.params, grads):
+            if g is None:
+                raise ValueError(f"parameter {param.name!r} has no gradient; run backward first")
+        g = self._grad
+        np.concatenate([np.ravel(grad) for grad in grads], out=g)
+        if not np.isfinite(g).all():
+            bad = next(p for p in self.params if not np.all(np.isfinite(p.grad)))
+            raise FloatingPointError(
+                f"non-finite gradient for {bad.name!r}: training diverged")
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for param, m, v in zip(self.params, self._m, self._v):
-            g = param.grad
-            if g is None:
-                raise ValueError(f"parameter {param.name!r} has no gradient; run backward first")
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError(
-                    f"non-finite gradient for {param.name!r}: training diverged")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            param.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m, v, step, denom = self._m_flat, self._v_flat, self._step, self._denom
+        # lr * (m / bc1) / (sqrt(v / bc2) + eps), the same operations as the
+        # per-parameter form, computed into the preallocated buffers.
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=step)
+        m += step
+        v *= self.beta2
+        np.multiply(g, g, out=step)
+        step *= 1.0 - self.beta2
+        v += step
+        np.divide(m, bc1, out=step)
+        step *= self.lr
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        for param, param_step in zip(self.params, self._steps):
+            param.value -= param_step
 
 
 class SGD:
@@ -400,6 +469,11 @@ def gradient_check(loss_fn, params, h=1e-5, rel_tol=1e-4, abs_tol=1e-7,
     root.tape.backward(root)
     analytic = [np.array(p.grad, copy=True) for p in params]
 
+    def loss_value():
+        node = loss_fn()
+        node.tape.release()
+        return float(node.value)
+
     worst_rel = 0.0
     worst_abs = 0.0
     ok = True
@@ -413,9 +487,9 @@ def gradient_check(loss_fn, params, h=1e-5, rel_tol=1e-4, abs_tol=1e-7,
         for idx in coords:
             orig = flat[idx]
             flat[idx] = orig + h
-            up = float(loss_fn().value)
+            up = loss_value()
             flat[idx] = orig - h
-            down = float(loss_fn().value)
+            down = loss_value()
             flat[idx] = orig
             fd = (up - down) / (2.0 * h)
             a = grad.reshape(-1)[idx]

@@ -14,7 +14,7 @@ import json
 import pathlib
 import sys
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -95,6 +95,21 @@ class ExperimentConfig:
         if self.eval_day >= self.funnel.n_days:
             raise ValueError(
                 f"eval day {self.eval_day} needs funnel.n_days > {self.eval_day}")
+        train_keys = {f.name for f in fields(tr.TrainConfig)}
+        for model_name, overrides in self.train_overrides.items():
+            if model_name not in md.MODEL_NAMES:
+                raise ValueError(f"train_overrides: unknown model {model_name!r}; "
+                                 f"valid: {md.MODEL_NAMES}")
+            unknown = set(overrides) - train_keys
+            if unknown:
+                raise ValueError(f"train_overrides[{model_name!r}]: unknown keys "
+                                 f"{sorted(unknown)}; valid: {sorted(train_keys)}")
+            self.train_config_for(model_name)  # TrainConfig checks the values
+
+    def check_baseline(self):
+        """The ablation normalizes every design by the baseline's runs."""
+        if self.baseline not in self.models:
+            raise ValueError(f"baseline {self.baseline!r} must be among models {self.models}")
 
     @property
     def eval_day(self):
@@ -184,8 +199,7 @@ class AblationReport:
 
 def run_ablation(cfg, log=None):
     """Train every selected model on identical per-seed data; compare to baseline."""
-    if cfg.baseline not in cfg.models:
-        raise ValueError(f"baseline {cfg.baseline!r} must be among models {cfg.models}")
+    cfg.check_baseline()
     log = log or (lambda msg: None)
     records, errors, extras = {}, {}, {}
     for seed_idx in range(cfg.n_seeds):
@@ -330,6 +344,8 @@ def run_drift(cfg, models=("IP", "ESMM"), log=None):
 
     Offset n means the n-th day after the end of training; the ablation's
     standard eval day is offset 1, so decay is measured at offsets 2..6.
+    Training evaluates on the offset-2 day after its last epoch, so that
+    score is reused rather than computed twice.
     """
     needed = cfg.train_days + DRIFT_OFFSETS[-1]
     if cfg.funnel.n_days < needed:
@@ -348,9 +364,13 @@ def run_drift(cfg, models=("IP", "ESMM"), log=None):
         }
         guard_eval = eval_days[DRIFT_OFFSETS[0]]
         for model_name in models:
-            model, _ = _train_one(cfg, model_name, seed_idx, train_ds, guard_eval)
+            model, history = _train_one(cfg, model_name, seed_idx, train_ds, guard_eval)
             for offset, ds in eval_days.items():
-                ces[(model_name, seed_idx, offset)] = tr.evaluate(model, ds).joint_ce
+                if ds is guard_eval and history.eval_metrics:
+                    ce = history.eval_metrics[-1].joint_ce
+                else:
+                    ce = tr.evaluate(model, ds).joint_ce
+                ces[(model_name, seed_idx, offset)] = ce
             log(f"seed {seed_idx} {model_name}: "
                 + " ".join(f"n{o}={ces[(model_name, seed_idx, o)]:.5f}"
                            for o in DRIFT_OFFSETS))
@@ -396,7 +416,7 @@ def _fault_node(root):
     """Identity whose recorded local gradient is deliberately wrong (x2);
     fault-injection hook proving the checker catches corrupted gradients."""
     def backward_fn(out_grad):
-        root.grad += 2.0 * out_grad
+        ad._accumulate(root, 2.0 * out_grad)
 
     return root.tape._record(root.value, (root,), "fault", backward_fn)
 
@@ -585,6 +605,8 @@ def main(argv=None):
 
     try:
         cfg, models_explicit = _load_config(args)
+        if args.command == "ablation":
+            cfg.check_baseline()
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2

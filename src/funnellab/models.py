@@ -214,7 +214,9 @@ class Model:
         """Raw-array predictions for a batch; no gradients retained."""
         tape = ad.Tape()
         nodes = self.forward_heads(tape, dense, cats)
-        return {name: node.value for name, node in nodes.items()}
+        values = {name: node.value for name, node in nodes.items()}
+        tape.release()
+        return values
 
     def predict_dataset(self, ds):
         return self.predict_all(ds.dense, ds.cats)

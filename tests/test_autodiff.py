@@ -1,12 +1,15 @@
 """Unit tests for the reverse-mode engine: op contracts, gradient
 correctness against central finite differences, and optimizer behavior."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from funnellab import autodiff as ad
+from funnellab import models as md
 
 
 def _node(tape, values):
@@ -164,6 +167,78 @@ class TestBackward:
         assert np.all(dangling.grad == 0.0)
         assert float(a.grad) == 3.0
 
+    def test_node_reached_twice_gets_exact_sum(self):
+        tape = ad.Tape()
+        x = _node(tape, [1.0, -2.0, 3.0])
+        doubled = ad.add(x, x)
+        tape.backward(ad.vsum(ad.scale(doubled, 3.0)))
+        np.testing.assert_array_equal(x.grad, [6.0, 6.0, 6.0])
+        # the first contribution to x is a copy, so doubled's own gradient
+        # is not changed by the second one
+        np.testing.assert_array_equal(doubled.grad, [3.0, 3.0, 3.0])
+
+    def test_shared_trunk_gradient_is_sum_of_heads(self):
+        rng = np.random.default_rng(11)
+        trunk = ad.DenseLayer(3, 4, rng)
+        heads = [ad.DenseLayer(4, 1, rng), ad.DenseLayer(4, 1, rng)]
+        x = rng.standard_normal((5, 3))
+
+        def trunk_grad(used_heads):
+            tape = ad.Tape()
+            h = ad.relu(trunk(_node(tape, x)))
+            outs = [ad.vsum(head(h)) for head in used_heads]
+            root = outs[0] if len(outs) == 1 else ad.add(outs[0], outs[1])
+            tape.backward(root)
+            return h.grad
+
+        both = trunk_grad(heads)
+        np.testing.assert_array_equal(both, trunk_grad(heads[1:]) + trunk_grad(heads[:1]))
+
+    def test_second_backward_raises(self):
+        tape = ad.Tape()
+        root = ad.scale(_node(tape, 2.0), 3.0)
+        tape.backward(root)
+        with pytest.raises(ValueError, match="released"):
+            tape.backward(root)
+
+    def test_tape_freed_by_reference_counting(self, monkeypatch):
+        """Backward and prediction release their tapes, so no tape waits for
+        the cyclic collector."""
+        tapes = []
+
+        class RecordedTape(ad.Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        monkeypatch.setattr(ad, "Tape", RecordedTape)
+        net = md.NetworkConfig(dense_input_dim=3, n_categorical=1, vocab_size=5,
+                               embedding_dim=2, shared_layer_dims=(4, 3),
+                               head_layer_dims=(2, 2))
+        model = md.build("ESMM", net, seed=0)
+        rng = np.random.default_rng(0)
+        dense = rng.standard_normal((6, 3))
+        cats = rng.integers(0, 5, (6, 1))
+
+        def loss():
+            out = model.forward_heads(ad.Tape(), dense, cats)
+            return ad.weighted_bce(out["joint"], np.zeros(6), np.ones(6))
+
+        def train_step():
+            root = loss()
+            root.tape.backward(root)
+
+        gc.disable()
+        try:
+            train_step()
+            model.predict_all(dense, cats)
+            assert len(tapes) == 2
+            ad.gradient_check(loss, model.parameters()[:1], max_coords_per_param=1)
+            assert len(tapes) == 5
+            assert [ref() for ref in tapes] == [None] * 5
+        finally:
+            gc.enable()
+
     def test_finite_difference_layer_combos(self):
         """Reverse-mode gradients match central differences for every layer
         combination used in this repo (dense, relu, sigmoid, embedding,
@@ -241,6 +316,52 @@ class TestOptimizers:
         p.grad = np.array([np.nan])
         with pytest.raises(FloatingPointError):
             opt.step()
+
+    def test_nonfinite_gradient_names_parameter(self):
+        params = [ad.Param(np.ones((2, 2)), "a"), ad.Param(np.ones(3), "b"),
+                  ad.Param(np.ones(1), "c")]
+        opt = ad.Adam(params, lr=0.1)
+        for p in params:
+            p.grad = np.ones_like(p.value)
+        params[1].grad[2] = np.nan
+        with pytest.raises(FloatingPointError, match="'b'"):
+            opt.step()
+        for p in params:
+            np.testing.assert_array_equal(p.value, np.ones_like(p.value))
+
+    def test_flat_adam_matches_per_parameter_reference(self):
+        """The flat update equals the per-parameter Adam loop bit for bit."""
+        def reference_step(params, ms, vs, t, lr):
+            b1, b2 = ad.ADAM_BETA1, ad.ADAM_BETA2
+            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for p, m, v in zip(params, ms, vs):
+                g = p.grad
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * (g * g)
+                p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + ad.ADAM_EPS)
+
+        rng = np.random.default_rng(4)
+        shapes = [(3, 4), (4,), (5, 2), (1,)]
+        flat = [ad.Param(rng.standard_normal(s), f"p{i}") for i, s in enumerate(shapes)]
+        ref = [ad.Param(p.value.copy(), p.name) for p in flat]
+        held = [p.value for p in flat]
+        opt = ad.Adam(flat, lr=0.03)
+        ms = [np.zeros(s) for s in shapes]
+        vs = [np.zeros(s) for s in shapes]
+        for t in range(1, 6):
+            for a, b in zip(flat, ref):
+                a.grad = rng.standard_normal(a.value.shape) * 10.0 ** rng.integers(-3, 3)
+                b.grad = a.grad.copy()
+            opt.step()
+            reference_step(ref, ms, vs, t, 0.03)
+            for a, b, m, v, m_view, v_view in zip(flat, ref, ms, vs, opt._m, opt._v):
+                np.testing.assert_array_equal(a.value, b.value)
+                np.testing.assert_array_equal(m_view, m)
+                np.testing.assert_array_equal(v_view, v)
+        # parameters are updated in place, never rebound
+        assert all(p.value is h for p, h in zip(flat, held))
 
     def test_sgd_step(self):
         p = ad.Param(np.array([1.0]), "p")

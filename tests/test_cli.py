@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from funnellab import cli, metrics
+from funnellab import funnel as fd
 from funnellab import models as md
+from funnellab import training as tr
 
 TINY = {
     "funnel": {"dense_dim": 4, "n_categorical": 1, "vocab_size": 6,
@@ -52,6 +54,15 @@ class TestExperimentConfig:
         cfg = tiny_config(train_overrides={"ESMM": {"learning_rate": 0.5}})
         assert cfg.train_config_for("ESMM").learning_rate == 0.5
         assert cfg.train_config_for("IP").learning_rate == 0.02
+
+    @pytest.mark.parametrize("overrides,match", [
+        ({"ESPP": {"learning_rate": 0.1}}, "unknown model 'ESPP'"),
+        ({"ESP": {"lr": 0.1}}, "unknown keys \\['lr'\\]"),
+        ({"ESP": {"learning_rate": -1.0}}, "invalid training config"),
+    ], ids=["model", "key", "value"])
+    def test_bad_override_rejected(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            tiny_config(train_overrides=overrides)
 
     def test_zero_dim_network_rejected(self):
         with pytest.raises(ValueError):
@@ -225,6 +236,31 @@ class TestRunDrift:
         with pytest.raises(ValueError, match="n_days"):
             cli.run_drift(cfg)
 
+    @pytest.mark.parametrize("epochs", [1, 0])
+    def test_offset_two_scored_once(self, monkeypatch, epochs):
+        """Training already scores the offset-2 day after its last epoch; the
+        harness reuses that score, and evaluates it itself only when there
+        were no epochs."""
+        calls = []
+        real = tr.evaluate
+
+        def counted(model, ds):
+            calls.append(int(ds.day.min()))
+            return real(model, ds)
+
+        monkeypatch.setattr(tr, "evaluate", counted)
+        cfg = tiny_config(train={**TINY["train"], "epochs": epochs})
+        report = cli.run_drift(cfg, models=("IP",))
+        offset_two_day = cfg.train_days + 1
+        assert len(calls) == cfg.n_seeds * len(cli.DRIFT_OFFSETS)
+        assert calls.count(offset_two_day) == cfg.n_seeds
+
+        train_ds, _ = cli._seed_datasets(cfg, 1)
+        eval_seed = cli._seed_bundle(cfg.base_seed, 1)[3]
+        guard = fd.generate_day(cfg.funnel, offset_two_day, cfg.n_eval, eval_seed)
+        model, _ = cli._train_one(cfg, "IP", 1, train_ds, guard)
+        assert report.ces[("IP", 1, 2)] == real(model, guard).joint_ce
+
 
 class TestRunGradcheck:
     def test_default_passes_and_corruption_detected(self):
@@ -248,6 +284,26 @@ class TestMainCli:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({**TINY, "models": ["NotAModel"]}))
         assert cli.main(["ablation", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("extra,flags", [
+        ({}, ["--models", "ESP"]),
+        ({"train_overrides": {"ESP": {"lr": 0.1}}}, []),
+        ({"train_overrides": {"ESPP": {"learning_rate": 0.1}}}, []),
+    ], ids=["no-baseline", "override-key", "override-model"])
+    def test_bad_ablation_input_exits_two_before_training(
+            self, tmp_path, monkeypatch, capsys, extra, flags):
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "_train_one", no_training)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**TINY, **extra}))
+        code = cli.main(["ablation", "--config", str(config),
+                         "--out", str(tmp_path / "out"), *flags])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("invalid config: ")
+        assert not (tmp_path / "out").exists()
 
     def test_ablation_subcommand_writes_reports(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
