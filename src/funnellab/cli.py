@@ -10,11 +10,12 @@ Exit codes: 0 success, 1 run or check failure, 2 invalid config.
 """
 
 import argparse
+import difflib
 import json
 import pathlib
 import sys
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from . import funnel as fd
 from . import metrics
 from . import models as md
 from . import training as tr
+from .oracles import brute_force_pr_auc
 
 DRIFT_OFFSETS = (2, 3, 4, 5, 6)
 
@@ -95,15 +97,15 @@ class ExperimentConfig:
         if self.eval_day >= self.funnel.n_days:
             raise ValueError(
                 f"eval day {self.eval_day} needs funnel.n_days > {self.eval_day}")
-        train_keys = {f.name for f in fields(tr.TrainConfig)}
+        if not isinstance(self.train_overrides, dict):
+            raise ValueError(f"train_overrides must be an object, got {self.train_overrides!r}")
         for model_name, overrides in self.train_overrides.items():
             if model_name not in md.MODEL_NAMES:
                 raise ValueError(f"train_overrides: unknown model {model_name!r}; "
-                                 f"valid: {md.MODEL_NAMES}")
-            unknown = set(overrides) - train_keys
-            if unknown:
-                raise ValueError(f"train_overrides[{model_name!r}]: unknown keys "
-                                 f"{sorted(unknown)}; valid: {sorted(train_keys)}")
+                                 + _did_you_mean(model_name, md.MODEL_NAMES))
+            # the same keys as the train section: each run sets its own seed
+            _check_keys(f"train_overrides[{model_name!r}]", overrides,
+                        DEFAULT_CONFIG["train"])
             self.train_config_for(model_name)  # TrainConfig checks the values
 
     def check_baseline(self):
@@ -120,8 +122,29 @@ class ExperimentConfig:
         return replace(self.train, **overrides) if overrides else self.train
 
 
+def _did_you_mean(key, valid):
+    near = difflib.get_close_matches(str(key), list(valid), n=1)
+    return f"did you mean {near[0]!r}?" if near else f"valid: {sorted(valid)}"
+
+
+def _check_keys(where, given, valid):
+    """Reject a non-object, or keys outside ``valid`` (with a hint)."""
+    if not isinstance(given, dict):
+        raise ValueError(f"{where} must be an object, got {given!r}")
+    unknown = sorted(set(given) - set(valid))
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {unknown}; "
+                         + _did_you_mean(unknown[0], valid))
+
+
 def config_from_dict(raw):
-    """Build an ExperimentConfig from the JSON config schema."""
+    """Build an ExperimentConfig from the JSON config schema; every unknown
+    key, at the top level or in a section, is an error."""
+    _check_keys("config", raw, DEFAULT_CONFIG)
+    for section in ("funnel", "net", "train"):
+        _check_keys(section, raw.get(section, {}), DEFAULT_CONFIG[section])
+    if not isinstance(raw.get("models", []), list):
+        raise ValueError(f"models must be a list of names, got {raw['models']!r}")
     merged = {**DEFAULT_CONFIG, **raw}
     merged["funnel"] = {**DEFAULT_CONFIG["funnel"], **raw.get("funnel", {})}
     merged["net"] = {**DEFAULT_CONFIG["net"], **raw.get("net", {})}
@@ -145,7 +168,7 @@ def config_from_dict(raw):
         n_eval=int(merged["n_eval"]),
         base_seed=int(merged["base_seed"]),
         out_dir=merged["out_dir"],
-        train_overrides=dict(merged.get("train_overrides", {})))
+        train_overrides=raw.get("train_overrides", {}))
 
 
 def _seed_bundle(base_seed, seed_idx):
@@ -187,14 +210,15 @@ class AblationReport:
     n_seeds: int
     records: dict                     # (model, seed) -> MetricsRecord or None
     errors: dict                      # (model, seed) -> str
-    stats: metrics.ComparisonStats
+    stats: metrics.ComparisonStats    # None when stats_error says why
     better_than: dict
     norm_scores: dict                 # model -> {seed -> normalized score}
     extras: dict = field(default_factory=dict)  # (model, seed) -> diagnostics
+    stats_error: str = None
 
     @property
     def failed(self):
-        return bool(self.errors)
+        return bool(self.errors) or self.stats is None
 
 
 def run_ablation(cfg, log=None):
@@ -228,19 +252,27 @@ def run_ablation(cfg, log=None):
         name: [records[(name, s)].joint_ce for s in seeds]
         for name, seeds in surviving.items() if len(seeds) >= 2
     }
-    stats = metrics.compare_models(ces_by_model, cfg.baseline)
-    norm_scores = {
-        name: dict(zip(surviving[name], map(float, stats.norm_scores[name])))
-        for name in stats.models
-    }
-    return AblationReport(
+    report = AblationReport(
         config_fingerprint=cfg.funnel.fingerprint(),
         formula=metrics.PERFORMANCE_FORMULA,
         models=list(cfg.models), n_seeds=cfg.n_seeds,
-        records=records, errors=errors, stats=stats,
-        better_than=metrics.better_than_table(stats, alpha=0.01),
-        norm_scores=norm_scores,
-        extras=extras)
+        records=records, errors=errors, stats=None, better_than={},
+        norm_scores={}, extras=extras)
+    if cfg.baseline not in ces_by_model:
+        report.stats_error = (
+            f"baseline {cfg.baseline} succeeded on {len(surviving[cfg.baseline])} "
+            f"of {cfg.n_seeds} seeds; normalized scores need at least 2")
+        return report
+    report.stats = stats = metrics.compare_models(ces_by_model, cfg.baseline)
+    report.better_than = metrics.better_than_table(stats, alpha=0.01)
+    report.norm_scores = {
+        name: dict(zip(surviving[name], map(float, stats.norm_scores[name])))
+        for name in stats.models
+    }
+    return report
+
+
+RUN_COLUMNS = ("joint_ce", "joint_pr_auc", "calibration_ratio", "ctr_ce", "norm_perf")
 
 
 def _fmt(value):
@@ -252,7 +284,9 @@ def emit_report(report, out_dir, fmt="csv"):
 
     CSV data columns: model, seed, joint_ce, joint_pr_auc, calibration_ratio,
     ctr_ce, norm_perf. Headers carry the score formula and the funnel config
-    fingerprint so every emitted number is traceable and recomputable.
+    fingerprint so every emitted number is traceable and recomputable. The
+    per-run rows are always written (a failed run's JSON row carries its
+    error); when no stats could be computed, the stats output says why.
     """
     out = pathlib.Path(out_dir)
     try:
@@ -265,34 +299,41 @@ def emit_report(report, out_dir, fmt="csv"):
     header_lines = [f"# {report.formula}",
                     f"# funnel_config_fingerprint = {report.config_fingerprint}",
                     f"# models = {','.join(report.models)}; seeds = {report.n_seeds}"]
+    rows = []
+    for name in report.models:
+        for seed in range(report.n_seeds):
+            rec = report.records.get((name, seed))
+            row = {"model": name, "seed": seed}
+            if rec is None:
+                row["error"] = report.errors.get((name, seed))
+            else:
+                row.update(joint_ce=rec.joint_ce, joint_pr_auc=rec.joint_pr_auc,
+                           calibration_ratio=rec.calibration_ratio, ctr_ce=rec.ctr_ce,
+                           norm_perf=report.norm_scores.get(name, {}).get(seed))
+            rows.append(row)
+    stats = report.stats
+    stat_models = stats.models if stats else []
     if fmt in ("csv", "both"):
         runs_path = out / "ablation_runs.csv"
         lines = list(header_lines)
-        lines.append("model,seed,joint_ce,joint_pr_auc,calibration_ratio,ctr_ce,norm_perf")
-        for name in report.models:
-            seed_scores = report.norm_scores.get(name, {})
-            for seed in range(report.n_seeds):
-                rec = report.records.get((name, seed))
-                if rec is None:
-                    lines.append(f"{name},{seed},,,,,")
-                    continue
-                lines.append(",".join([
-                    name, str(seed), _fmt(rec.joint_ce), _fmt(rec.joint_pr_auc),
-                    _fmt(rec.calibration_ratio), _fmt(rec.ctr_ce),
-                    _fmt(seed_scores.get(seed))]))
+        lines.append(",".join(["model", "seed", *RUN_COLUMNS]))
+        lines += [",".join([row["model"], str(row["seed"])]
+                           + [_fmt(row.get(col)) for col in RUN_COLUMNS]) for row in rows]
         runs_path.write_text("\n".join(lines) + "\n")
         written.append(str(runs_path))
 
         stats_path = out / "ablation_stats.csv"
-        stat_models = report.stats.models
         lines = list(header_lines)
-        lines.append("model,mean_norm_perf,sem,better_than,"
-                     + ",".join(f"p_vs_{m}" for m in stat_models))
+        if stats is None:
+            lines.append(f"# stats not computed: {report.stats_error}")
+        else:
+            lines.append("model,mean_norm_perf,sem,better_than,"
+                         + ",".join(f"p_vs_{m}" for m in stat_models))
         for name in stat_models:
-            pvals = [("" if m == name else repr(report.stats.pvalues[(name, m)]))
+            pvals = [("" if m == name else repr(stats.pvalues[(name, m)]))
                      for m in stat_models]
             lines.append(",".join([
-                name, repr(report.stats.mean_norm_perf[name]), repr(report.stats.sem[name]),
+                name, repr(stats.mean_norm_perf[name]), repr(stats.sem[name]),
                 ";".join(report.better_than.get(name, []))] + pvals))
         stats_path.write_text("\n".join(lines) + "\n")
         written.append(str(stats_path))
@@ -303,26 +344,18 @@ def emit_report(report, out_dir, fmt="csv"):
             "funnel_config_fingerprint": report.config_fingerprint,
             "models": report.models,
             "n_seeds": report.n_seeds,
-            "runs": [
-                {"model": name, "seed": seed,
-                 **({"joint_ce": rec.joint_ce, "joint_pr_auc": rec.joint_pr_auc,
-                     "calibration_ratio": rec.calibration_ratio,
-                     "ctr_ce": rec.ctr_ce,
-                     "norm_perf": report.norm_scores.get(name, {}).get(seed)}
-                    if rec is not None else {"error": report.errors.get((name, seed))})}
-                for name in report.models
-                for seed, rec in ((s, report.records.get((name, s)))
-                                  for s in range(report.n_seeds))
-            ],
+            "runs": rows,
             "stats": {
-                name: {"mean_norm_perf": report.stats.mean_norm_perf[name],
-                       "sem": report.stats.sem[name],
+                name: {"mean_norm_perf": stats.mean_norm_perf[name],
+                       "sem": stats.sem[name],
                        "better_than": report.better_than.get(name, []),
-                       "pvalues": {m: report.stats.pvalues[(name, m)]
-                                   for m in report.stats.models if m != name}}
-                for name in report.stats.models
+                       "pvalues": {m: stats.pvalues[(name, m)]
+                                   for m in stat_models if m != name}}
+                for name in stat_models
             },
         }
+        if stats is None:
+            payload["stats_error"] = report.stats_error
         json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         written.append(str(json_path))
     return written
@@ -437,6 +470,9 @@ def run_gradcheck(cfg, n_examples=12, corrupt=False, log=None):
     conversion[0] = 1
     weight = ds.weight.copy()
     weight[1] = 3.0
+    batch = fd.Dataset(ds.dense, ds.cats, click, conversion, weight, ds.day,
+                       ds.config_fingerprint, "gradcheck batch")
+    rows = np.arange(n_examples)
     results = {}
     all_ok = True
     for name in md.MODEL_NAMES:
@@ -447,19 +483,10 @@ def run_gradcheck(cfg, n_examples=12, corrupt=False, log=None):
         jitter = np.random.default_rng(zlib.crc32(name.encode()) + 1)
         for param in model.parameters():
             param.value += jitter.uniform(-0.2, 0.2, param.value.shape)
-        cvr_key = model.cvr_loss_key()
-        ctr_w, cvr_w = model._loss_weight_arrays(click, weight)
 
-        def loss_fn(model=model, cvr_key=cvr_key, ctr_w=ctr_w, cvr_w=cvr_w):
-            tape = ad.Tape()
-            out = model.forward_heads(tape, ds.dense, ds.cats)
-            loss = ad.weighted_bce(out[cvr_key], conversion, cvr_w)
-            if model.has_ctr_head():
-                loss = ad.add(loss, ad.weighted_bce(out["ctr"], click, ctr_w))
-            loss = ad.scale(loss, 1.0 / float(weight.sum()))
-            if corrupt:
-                loss = _fault_node(loss)
-            return loss
+        def loss_fn(model=model):
+            loss, _, _ = tr.batch_loss(model, ad.Tape(), batch, rows)
+            return _fault_node(loss) if corrupt else loss
 
         res = ad.gradient_check(loss_fn, model.parameters(),
                                 max_coords_per_param=4,
@@ -501,7 +528,7 @@ def run_selftest(log=None):
             continue
         weights = rng.uniform(0.5, 2.0, n)
         fast = metrics.pr_auc(preds, labels, weights)
-        brute = _brute_force_pr_auc(preds, labels, weights)
+        brute = brute_force_pr_auc(preds, labels, weights)
         ok = ok and abs(fast - brute) <= 1e-9
     check("pr_auc equals brute-force enumeration", ok)
 
@@ -524,23 +551,6 @@ def run_selftest(log=None):
     check("gradient check over all six designs", grad["passed"])
 
     return all(ok for _, ok in checks)
-
-
-def _brute_force_pr_auc(preds, labels, weights):
-    order = sorted(range(len(preds)), key=lambda i: -preds[i])
-    cum_w = 0.0
-    cum_pos = 0.0
-    total_pos = 0.0
-    ap = 0.0
-    for i in order:
-        cum_w += weights[i]
-        if labels[i] > 0:
-            cum_pos += weights[i]
-            ap += weights[i] * (cum_pos / cum_w)
-    for i in range(len(preds)):
-        if labels[i] > 0:
-            total_pos += weights[i]
-    return ap / total_pos
 
 
 def _load_config(args):
@@ -607,7 +617,7 @@ def main(argv=None):
         cfg, models_explicit = _load_config(args)
         if args.command == "ablation":
             cfg.check_baseline()
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
 
@@ -616,10 +626,13 @@ def main(argv=None):
         paths = emit_report(report, cfg.out_dir, fmt=args.format)
         for path in paths:
             print(f"wrote {path}")
-        for name in report.stats.models:
-            print(f"{name}: norm_perf={report.stats.mean_norm_perf[name]:.4f} "
-                  f"+- {report.stats.sem[name]:.4f} "
-                  f"better_than={','.join(report.better_than[name]) or '-'}")
+        if report.stats is None:
+            print(f"stats not computed: {report.stats_error}")
+        else:
+            for name in report.stats.models:
+                print(f"{name}: norm_perf={report.stats.mean_norm_perf[name]:.4f} "
+                      f"+- {report.stats.sem[name]:.4f} "
+                      f"better_than={','.join(report.better_than[name]) or '-'}")
         return 1 if report.failed else 0
 
     if args.command == "drift":

@@ -12,19 +12,21 @@ Every design is described by three boolean characteristics:
                    prediction (the reconnection adds no trainable parameters
                    and no loss is attached to the implicit node itself)
 
-The name -> flags table below is asserted as data in the test suite. Wiring:
+The name -> flags table below is asserted as data in the test suite, and
+it alone decides each design's wiring:
 
-* IP          two disjoint towers; CTR tower trained on all impressions,
-              CVR tower on the clicked subset; joint = product of the two.
-* IPSP        shared trunk, two heads, same losses as IP (conversion head
-              gets weight zero on unclicked examples).
-* ESSP-Split  shared trunk, two heads predicting p(click|x) and the joint
-              directly, with no constraint tying them together (the heads
-              may be inconsistent; the violation rate is reported, never
-              clipped).
-* ESMM        shared trunk, click sigmoid x implicit conversion sigmoid.
-* ESMM-NS     ESMM losses with two disjoint towers.
-* ESP         single tower, single joint head; no click prediction exists.
+* An entire-space design without the reconnection (entire_space and not
+  weighted_cvr: ESSP-Split, ESP) has a head predicting the joint directly.
+  Every other design has a conditional ``cvr`` head, and joint = ctr x cvr
+  (exact, so joint <= ctr always).
+* Every design has a ``ctr`` head, except a non-shared one with a direct
+  joint head (ESP): its click tower could not reach the joint, so it is
+  dropped and no click prediction exists.
+* shared_params gives one ``shared`` stack under every head; otherwise each
+  head has its own ``<head>_tower`` stack (a lone head keeps ``shared``).
+
+The loss regime and the training jobs follow from the same flags; see
+``training``.
 
 Models are mutable during training only; a trained model is safe for
 concurrent read-only prediction.
@@ -166,10 +168,6 @@ class Model:
     def has_ctr_head(self):
         return "ctr" in self._heads
 
-    def cvr_loss_key(self):
-        """Which forward output the conversion-side loss attaches to."""
-        return "joint" if self.characteristics.entire_space else "cvr"
-
     def parameters(self):
         out = []
         for stack_name in self._stacks:
@@ -191,22 +189,23 @@ class Model:
     def parameter_count(self):
         return sum(p.value.size for p in self.parameters())
 
-    def forward_heads(self, tape, dense, cats):
-        """Run every head on one tape; returns nodes keyed ctr/cvr/joint.
+    def forward_heads(self, tape, dense, cats, heads=None):
+        """Run the heads on one tape; returns nodes keyed ctr/cvr/joint.
 
-        The joint output is the product of the click and conditional
-        sigmoids for composed designs (exact, so joint <= ctr always), the
-        direct head for ESSP-Split and ESP.
+        ``heads`` selects a subset (default: all), and only the stacks
+        under it run. The joint output is the product of the click and
+        conditional sigmoids when both are selected, or the direct head.
         """
         dense = np.asarray(dense, dtype=np.float64)
         cats = np.asarray(cats, dtype=np.int64)
         if dense.ndim != 2:
             raise ValueError("forward_heads expects a batch (n, dense_dim)")
-        reps = {name: stack.forward(tape, dense, cats)
-                for name, stack in self._stacks.items()}
+        heads = tuple(self._heads) if heads is None else heads
+        reps = {tower: self._stacks[tower].forward(tape, dense, cats)
+                for tower in dict.fromkeys(self._wiring[name] for name in heads)}
         out = {name: self._heads[name].forward(reps[self._wiring[name]])
-               for name in self._heads}
-        if "joint" not in out:
+               for name in heads}
+        if "ctr" in out and "cvr" in out:
             out["joint"] = ad.multiply(out["ctr"], out["cvr"])
         return out
 
@@ -250,27 +249,6 @@ class Model:
         if "cvr" not in self._heads:
             raise ValueError(f"{self.name} has no conditional conversion head")
         return self._predict_one("cvr", dense, cats)
-
-    def loss_weights(self, example):
-        """(ctr_weight, cvr_weight) for one example under this design's regime.
-
-        The regime weight (1, or 0 where a head is switched off) is
-        multiplied by the example's calibration weight.
-        """
-        ctr_w, cvr_w = self._loss_weight_arrays(
-            np.asarray([example.click]), np.asarray([example.weight]))
-        return float(ctr_w[0]), float(cvr_w[0])
-
-    def _loss_weight_arrays(self, click, weight):
-        click = np.asarray(click, dtype=np.float64)
-        weight = np.asarray(weight, dtype=np.float64)
-        name = self.name
-        if name == "ESP":
-            return np.zeros_like(weight), weight
-        if name in ("IP", "IPSP"):
-            return weight, weight * click
-        # ESMM, ESMM-NS, ESSP-Split: both heads see every sample.
-        return weight, weight.copy()
 
     def save(self, path):
         """Flat text format: design name, dimensions, then parameter matrices."""
@@ -333,24 +311,15 @@ def build(name, net_config, seed):
         raise ValueError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
     chars = MODEL_TABLE[name]
     rng = np.random.default_rng(seed)
-    if name in ("IP", "ESMM-NS"):
-        ctr_stack = _Stack(net_config, rng, "ctr_tower")
-        ctr_head = _Head(ctr_stack.out_dim, net_config, rng, "ctr")
-        cvr_stack = _Stack(net_config, rng, "cvr_tower")
-        cvr_head = _Head(cvr_stack.out_dim, net_config, rng, "cvr")
-        stacks = {"ctr_tower": ctr_stack, "cvr_tower": cvr_stack}
-        heads = {"ctr": ctr_head, "cvr": cvr_head}
-        wiring = {"ctr": "ctr_tower", "cvr": "cvr_tower"}
-    elif name == "ESP":
-        stack = _Stack(net_config, rng, "shared")
-        heads = {"joint": _Head(stack.out_dim, net_config, rng, "joint")}
-        stacks = {"shared": stack}
-        wiring = {"joint": "shared"}
-    else:  # IPSP, ESMM, ESSP-Split: shared trunk, two heads
-        stack = _Stack(net_config, rng, "shared")
-        second = "joint" if name == "ESSP-Split" else "cvr"
-        heads = {"ctr": _Head(stack.out_dim, net_config, rng, "ctr"),
-                 second: _Head(stack.out_dim, net_config, rng, second)}
-        stacks = {"shared": stack}
-        wiring = {"ctr": "shared", second: "shared"}
+    direct_joint = chars.entire_space and not chars.weighted_cvr
+    head_names = ("ctr", "joint" if direct_joint else "cvr")
+    if direct_joint and not chars.shared_params:
+        head_names = ("joint",)
+    stacks, heads, wiring = {}, {}, {}
+    for head in head_names:
+        tower = "shared" if chars.shared_params or len(head_names) == 1 else f"{head}_tower"
+        if tower not in stacks:
+            stacks[tower] = _Stack(net_config, rng, tower)
+        heads[head] = _Head(stacks[tower].out_dim, net_config, rng, head)
+        wiring[head] = tower
     return Model(chars, net_config, stacks, heads, wiring)

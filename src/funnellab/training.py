@@ -1,4 +1,14 @@
-"""Deterministic mini-batch training bound to the per-design loss regimes.
+"""Deterministic mini-batch training under the loss regime the design
+flags set.
+
+The conversion loss goes on the joint output with weight w for an
+entire-space design, and on the conditional ``cvr`` head with weight
+w * click otherwise; the click loss, weight w, goes on the ``ctr`` head
+wherever one exists (w is each row's calibration weight). Training runs
+over "loss jobs": disjoint towers trained in the conditional space (IP) are
+two jobs, the click tower on every row and the conversion tower on the
+clicked rows, each with its own optimizer and shuffle stream. Every other
+design is one job over the whole graph.
 
 One run is single-threaded; a harness may run many (model x seed) jobs
 concurrently since each owns its model, tape, and RNG. Evaluation always
@@ -86,14 +96,51 @@ def _epoch_batches(rng, n, batch_size):
         yield perm[start:start + batch_size]
 
 
+def batch_loss(model, tape, ds, idx, heads=None):
+    """Loss of the selected heads on rows ``idx`` of ``ds``.
+
+    Returns (total, terms, batch_weight): ``terms`` maps "cvr" (the
+    conversion loss) and "ctr" (the click loss) to their summed weighted
+    cross-entropies, and ``total`` is their sum divided by the batch's
+    summed calibration weight, so gradient scale is stable under
+    calibration upweighting.
+    """
+    w = ds.weight[idx]
+    click = ds.click[idx]
+    out = model.forward_heads(tape, ds.dense[idx], ds.cats[idx], heads=heads)
+    terms = {}
+    if model.characteristics.entire_space:
+        terms["cvr"] = ad.weighted_bce(out["joint"], ds.conversion[idx], w)
+    elif "cvr" in out:
+        terms["cvr"] = ad.weighted_bce(out["cvr"], ds.conversion[idx], w * click)
+    if "ctr" in out:
+        terms["ctr"] = ad.weighted_bce(out["ctr"], click, w)
+    total = (ad.add(terms["ctr"], terms["cvr"]) if len(terms) == 2
+             else next(iter(terms.values())))
+    batch_weight = float(w.sum())
+    return ad.scale(total, 1.0 / batch_weight), terms, batch_weight
+
+
+def loss_jobs(model, train_ds, seed):
+    """[(heads, dataset, parameters, rng)]: one entry per separately trained
+    part of the model (see the module docstring)."""
+    chars = model.characteristics
+    if chars.shared_params or chars.entire_space:
+        return [(None, train_ds, model.parameters(), np.random.default_rng(seed))]
+    clicked = train_ds.clicked()
+    if len(clicked) == 0:
+        raise ValueError(f"{model.name} needs at least one clicked training example")
+    return [(("ctr",), train_ds, model.tower_parameters("ctr"),
+             np.random.default_rng(np.random.SeedSequence([seed, 1]))),
+            (("cvr",), clicked, model.tower_parameters("cvr"),
+             np.random.default_rng(np.random.SeedSequence([seed, 2])))]
+
+
 def train(model, train_ds, eval_ds, cfg):
     """Train a model and return (model, RunHistory).
 
-    Per batch, the total loss is the sum over examples of the per-head
-    weighted cross-entropies under the design's sample-weight regime,
-    divided by the batch's summed calibration weight (so gradient scale is
-    stable under calibration upweighting). One optimizer step per batch;
-    everything is deterministic given cfg.seed.
+    Per batch, the loss is ``batch_loss`` of the job's heads; one optimizer
+    step per batch. Everything is deterministic given cfg.seed.
     """
     if len(train_ds) == 0 or len(eval_ds) == 0:
         raise ValueError("training and evaluation datasets must be non-empty")
@@ -104,90 +151,25 @@ def train(model, train_ds, eval_ds, cfg):
     history = RunHistory()
     if cfg.epochs == 0:
         return model, history
-    if model.name == "IP":
-        _train_disjoint(model, train_ds, eval_ds, cfg, history)
-    else:
-        _train_single_graph(model, train_ds, eval_ds, cfg, history)
-    return model, history
-
-
-def _train_single_graph(model, train_ds, eval_ds, cfg, history):
-    opt = ad.make_optimizer(cfg.optimizer, model.parameters(), cfg.learning_rate)
-    rng = np.random.default_rng(cfg.seed)
-    n = len(train_ds)
-    cvr_key = model.cvr_loss_key()
-    for epoch in range(cfg.epochs):
-        start_time = time.perf_counter()
-        sums = {"ctr": 0.0, "cvr": 0.0}
-        weight_total = 0.0
-        for idx in _epoch_batches(rng, n, cfg.batch_size):
-            w = train_ds.weight[idx]
-            ctr_w, cvr_w = model._loss_weight_arrays(train_ds.click[idx], w)
-            tape = ad.Tape()
-            out = model.forward_heads(tape, train_ds.dense[idx], train_ds.cats[idx])
-            cvr_loss = ad.weighted_bce(out[cvr_key], train_ds.conversion[idx], cvr_w)
-            if model.has_ctr_head():
-                ctr_loss = ad.weighted_bce(out["ctr"], train_ds.click[idx], ctr_w)
-                total = ad.add(ctr_loss, cvr_loss)
-                sums["ctr"] += float(ctr_loss.value)
-            else:
-                total = cvr_loss
-            sums["cvr"] += float(cvr_loss.value)
-            batch_weight = float(w.sum())
-            weight_total += batch_weight
-            total = ad.scale(total, 1.0 / batch_weight)
-            _check_finite(float(total.value), model.name, epoch)
-            tape.backward(total)
-            opt.step()
-        losses = {"cvr": sums["cvr"] / weight_total}
-        if model.has_ctr_head():
-            losses["ctr"] = sums["ctr"] / weight_total
-        history.head_losses.append(losses)
-        history.eval_metrics.append(evaluate(model, eval_ds))
-        history.epoch_seconds.append(time.perf_counter() - start_time)
-
-
-def _forward_tower(model, tape, head_name, dense, cats):
-    stack = model._stacks[model._wiring[head_name]]
-    return model._heads[head_name].forward(stack.forward(tape, dense, cats))
-
-
-def _train_disjoint(model, train_ds, eval_ds, cfg, history):
-    """IP: the click tower sees every impression, the conversion tower only
-    clicked ones (conditional space, weight 1). The towers share nothing, so
-    training them within each epoch equals two fully sequential runs."""
-    clicked = train_ds.clicked()
-    if len(clicked) == 0:
-        raise ValueError("IP needs at least one clicked training example")
-    jobs = {
-        "ctr": (train_ds, train_ds.click,
-                ad.make_optimizer(cfg.optimizer, model.tower_parameters("ctr"),
-                                  cfg.learning_rate),
-                np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))),
-        "cvr": (clicked, clicked.conversion,
-                ad.make_optimizer(cfg.optimizer, model.tower_parameters("cvr"),
-                                  cfg.learning_rate),
-                np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))),
-    }
+    jobs = [(heads, ds, ad.make_optimizer(cfg.optimizer, params, cfg.learning_rate), rng)
+            for heads, ds, params, rng in loss_jobs(model, train_ds, cfg.seed)]
     for epoch in range(cfg.epochs):
         start_time = time.perf_counter()
         losses = {}
-        for head, (ds, labels, opt, rng) in jobs.items():
-            loss_sum = 0.0
+        for heads, ds, opt, rng in jobs:
+            sums = {}
             weight_total = 0.0
             for idx in _epoch_batches(rng, len(ds), cfg.batch_size):
-                w = ds.weight[idx]
                 tape = ad.Tape()
-                pred = _forward_tower(model, tape, head, ds.dense[idx], ds.cats[idx])
-                loss = ad.weighted_bce(pred, labels[idx], w)
-                batch_weight = float(w.sum())
-                total = ad.scale(loss, 1.0 / batch_weight)
+                total, terms, batch_weight = batch_loss(model, tape, ds, idx, heads)
                 _check_finite(float(total.value), model.name, epoch)
                 tape.backward(total)
                 opt.step()
-                loss_sum += float(loss.value)
+                for key, term in terms.items():
+                    sums[key] = sums.get(key, 0.0) + float(term.value)
                 weight_total += batch_weight
-            losses[head] = loss_sum / weight_total
+            losses.update((key, value / weight_total) for key, value in sums.items())
         history.head_losses.append(losses)
         history.eval_metrics.append(evaluate(model, eval_ds))
         history.epoch_seconds.append(time.perf_counter() - start_time)
+    return model, history

@@ -19,8 +19,7 @@ from funnellab import funnel as fd
 from funnellab import metrics
 from funnellab import models as md
 from funnellab import training as tr
-
-from oracles import brute_force_pr_auc
+from funnellab.oracles import brute_force_pr_auc
 
 
 def _report(line):

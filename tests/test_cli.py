@@ -64,6 +64,21 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=match):
             tiny_config(train_overrides=overrides)
 
+    @pytest.mark.parametrize("extra,match", [
+        ({"n_seed": 2}, "config: unknown keys \\['n_seed'\\]; did you mean 'n_seeds'"),
+        ({"net": {"embeding_dim": 4}}, "net: unknown keys .*did you mean 'embedding_dim'"),
+        ({"funnel": {"drift": 0.1}}, "funnel: unknown keys .*did you mean 'drift_rate'"),
+        ({"train": {"seed": 3}}, "train: unknown keys \\['seed'\\]"),
+        ({"train_overrides": {"ESP": {"seed": 3}}}, "unknown keys \\['seed'\\]"),
+        ({"train_overrides": [["ESP", {}]]}, "train_overrides must be an object"),
+        ({"net": [4]}, "net must be an object"),
+        ({"models": "IP"}, "models must be a list"),
+    ], ids=["top", "net", "funnel", "train", "override-seed", "overrides-list",
+            "section-list", "models-string"])
+    def test_unknown_or_malformed_keys_rejected(self, extra, match):
+        with pytest.raises(ValueError, match=match):
+            tiny_config(**extra)
+
     def test_zero_dim_network_rejected(self):
         with pytest.raises(ValueError):
             tiny_config(net={"embedding_dim": 0, "shared_layer_dims": [8, 6],
@@ -289,7 +304,11 @@ class TestMainCli:
         ({}, ["--models", "ESP"]),
         ({"train_overrides": {"ESP": {"lr": 0.1}}}, []),
         ({"train_overrides": {"ESPP": {"learning_rate": 0.1}}}, []),
-    ], ids=["no-baseline", "override-key", "override-model"])
+        ({"n_seed": 2}, []),
+        ({"net": {**TINY["net"], "embeding_dim": 4}}, []),
+        ({"models": "IP"}, []),
+    ], ids=["no-baseline", "override-key", "override-model", "top-key", "section-key",
+            "models-string"])
     def test_bad_ablation_input_exits_two_before_training(
             self, tmp_path, monkeypatch, capsys, extra, flags):
         def no_training(*args):
@@ -315,6 +334,28 @@ class TestMainCli:
         assert (out_dir / "ablation_runs.csv").exists()
         assert (out_dir / "ablation_stats.csv").exists()
 
+    def test_baseline_failing_every_seed_keeps_report(self, tmp_path, capsys):
+        """With no baseline stats the per-run rows are still written, the
+        stats output says why, and the command exits 1 without a traceback."""
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            **TINY, "models": ["IP", "ESMM"],
+            "train_overrides": {"IP": {"learning_rate": 1e300}}}))
+        out_dir = tmp_path / "reports"
+        assert cli.main(["ablation", "--config", str(config), "--out", str(out_dir)]) == 1
+        assert "stats not computed" in capsys.readouterr().out
+        runs = (out_dir / "ablation_runs.csv").read_text().splitlines()
+        assert "IP,0,,,,," in runs and "IP,1,,,,," in runs
+        esmm = [line for line in runs if line.startswith("ESMM,")]
+        assert len(esmm) == 2 and all(",," not in line[:-1] for line in esmm)
+        reason = "# stats not computed: baseline IP succeeded on 0 of 2 seeds"
+        assert (out_dir / "ablation_stats.csv").read_text().splitlines()[-1].startswith(reason)
+        payload = json.loads((out_dir / "ablation_report.json").read_text())
+        assert payload["stats"] == {}
+        assert payload["stats_error"].startswith("baseline IP succeeded on 0 of 2")
+        errors = [run["error"] for run in payload["runs"] if run["model"] == "IP"]
+        assert len(errors) == 2 and all("non-finite" in e for e in errors)
+
     def test_drift_subcommand(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({**TINY, "models": ["IP"]}))
@@ -323,6 +364,12 @@ class TestMainCli:
                          "--drift-rate", "0.2"])
         assert code == 0
         assert (out_dir / "drift_stats.csv").exists()
+
+    def test_missing_config_file_exit_two(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert cli.main(["ablation", "--config", str(missing)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("invalid config: ")
 
     def test_drift_insufficient_days_exit_two(self, tmp_path):
         config = tmp_path / "cfg.json"

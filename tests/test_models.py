@@ -1,6 +1,9 @@
 """Design-table, wiring, weight-regime, and gradient-flow contracts for the
 six model designs."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -152,37 +155,106 @@ class TestPredictions:
         np.testing.assert_array_equal(a, b)
 
 
+def _regime(name, click, weight, conversion=None):
+    """The ``batch_loss`` terms of one design on one batch, as floats, with
+    the design's predictions on that batch."""
+    n = len(click)
+    conversion = np.zeros(n, dtype=int) if conversion is None else conversion
+    dense, cats = _batch(n)
+    ds = fd.Dataset(dense, cats, click, conversion, weight, np.zeros(n, dtype=int),
+                    "fp", "regime")
+    model = md.build(name, NET, seed=0)
+    _, terms, _ = tr.batch_loss(model, ad.Tape(), ds, np.arange(n))
+    values = {key: float(term.value) for key, term in terms.items()}
+    return values, model.predict_all(dense, cats)
+
+
+def _bce(pred, labels, weights):
+    return float(ad.weighted_bce(ad.Tape().constant(pred), np.asarray(labels, float),
+                                 np.asarray(weights, float)).value)
+
+
 class TestLossWeights:
-    def _example(self, click, weight):
-        return fd.Example(np.zeros(4), np.zeros(2, dtype=int), click,
-                          0, weight, 0)
+    """The loss regime at the array level: each ``batch_loss`` term is the
+    weighted BCE of its target output under the expected weights."""
 
     def test_ipsp_unclicked_gets_zero_cvr_weight(self):
-        model = md.build("IPSP", NET, seed=0)
-        assert model.loss_weights(self._example(0, 1.0)) == (1.0, 0.0)
-        assert model.loss_weights(self._example(1, 1.0)) == (1.0, 1.0)
+        click, conversion = np.array([0, 1]), np.array([0, 1])
+        terms, out = _regime("IPSP", click, np.ones(2), conversion)
+        assert terms["ctr"] == _bce(out["ctr"], click, [1.0, 1.0])
+        assert terms["cvr"] == _bce(out["cvr"], conversion, [0.0, 1.0])
 
     def test_ip_same_regime_as_ipsp(self):
-        model = md.build("IP", NET, seed=0)
-        assert model.loss_weights(self._example(0, 10.0)) == (10.0, 0.0)
+        click = np.array([0])
+        terms, out = _regime("IP", click, np.array([10.0]))
+        assert terms == {"cvr": 0.0, "ctr": _bce(out["ctr"], click, [10.0])}
 
     def test_esmm_regime_scales_with_calibration_weight(self):
+        click, conversion = np.array([0, 1]), np.array([0, 1])
         for name in ("ESMM", "ESMM-NS", "ESSP-Split"):
-            model = md.build(name, NET, seed=0)
-            assert model.loss_weights(self._example(0, 10.0)) == (10.0, 10.0)
-            assert model.loss_weights(self._example(1, 1.0)) == (1.0, 1.0)
+            terms, out = _regime(name, click, np.array([10.0, 1.0]), conversion)
+            assert terms["ctr"] == _bce(out["ctr"], click, [10.0, 1.0]), name
+            assert terms["cvr"] == _bce(out["joint"], conversion, [10.0, 1.0]), name
 
     def test_esp_has_no_ctr_loss(self):
-        model = md.build("ESP", NET, seed=0)
-        assert model.loss_weights(self._example(1, 2.5)) == (0.0, 2.5)
+        conversion = np.array([1])
+        terms, out = _regime("ESP", np.array([1]), np.array([2.5]), conversion)
+        assert terms == {"cvr": _bce(out["joint"], conversion, [2.5])}
 
     def test_cvr_loss_targets(self):
         # conditional designs attach the conversion loss to the conditional
         # head; entire-space designs attach it to the joint output
-        assert md.build("IP", NET, 0).cvr_loss_key() == "cvr"
-        assert md.build("IPSP", NET, 0).cvr_loss_key() == "cvr"
-        for name in ("ESMM", "ESMM-NS", "ESSP-Split", "ESP"):
-            assert md.build(name, NET, 0).cvr_loss_key() == "joint"
+        click = np.ones(4, dtype=int)
+        conversion = np.array([1, 0, 1, 0])
+        for name, target in [("IP", "cvr"), ("IPSP", "cvr"), ("ESMM", "joint"),
+                             ("ESMM-NS", "joint"), ("ESSP-Split", "joint"),
+                             ("ESP", "joint")]:
+            terms, out = _regime(name, click, np.ones(4), conversion)
+            assert terms["cvr"] == _bce(out[target], conversion, np.ones(4)), name
+
+
+class TestFlagRules:
+    @pytest.mark.parametrize("name", md.MODEL_NAMES)
+    def test_heads_and_towers_follow_flags(self, name):
+        """A direct joint head exactly when entire_space without the
+        reconnection; a click head unless that direct head stands alone in
+        a non-shared design; one trunk under both heads exactly when
+        shared_params."""
+        c = md.MODEL_TABLE[name]
+        model = md.build(name, NET, seed=0)
+        direct = c.entire_space and not c.weighted_cvr
+        heads = {"joint"} if direct and not c.shared_params else {
+            "ctr", "joint" if direct else "cvr"}
+        assert set(model.head_names()) == heads
+        out = model.predict_all(*_batch(4))
+        assert set(out) == heads | {"joint"}
+        if not direct:
+            np.testing.assert_array_equal(out["joint"], out["ctr"] * out["cvr"])
+        towers = {head: {p.name.split(".")[0] for p in model.tower_parameters(head)}
+                  - {head} for head in heads}
+        if c.shared_params or len(heads) == 1:
+            assert all(t == {"shared"} for t in towers.values())
+        else:
+            assert towers == {head: {f"{head}_tower"} for head in heads}
+            assert len(model.parameters()) == sum(
+                len(model.tower_parameters(head)) for head in heads)
+
+    @pytest.mark.parametrize("module", [md, tr], ids=["models", "training"])
+    def test_no_design_name_comparisons(self, module):
+        """Designs differ only through MODEL_TABLE: no code compares against
+        a design name (``name == "IP"``, ``name in ("IP", "IPSP")``)."""
+        tree = ast.parse(inspect.getsource(module))
+        names = set(md.MODEL_NAMES)
+
+        def is_design_name(node):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                return any(is_design_name(elt) for elt in node.elts)
+            return isinstance(node, ast.Constant) and node.value in names
+
+        offenders = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Compare)
+                     and any(map(is_design_name, [node.left, *node.comparators]))]
+        assert offenders == [], f"design-name comparisons at lines {offenders}"
 
 
 def _all_negative_datasets(n=64):
