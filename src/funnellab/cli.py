@@ -94,6 +94,10 @@ class ExperimentConfig:
             raise ValueError("downsample_factor must be >= 1")
         if self.train_days < 1:
             raise ValueError("train_days must be >= 1")
+        if self.n_train_per_day < 1 or self.n_eval < 1:
+            raise ValueError("n_train_per_day and n_eval must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
         if self.eval_day >= self.funnel.n_days:
             raise ValueError(
                 f"eval day {self.eval_day} needs funnel.n_days > {self.eval_day}")
@@ -127,14 +131,39 @@ def _did_you_mean(key, valid):
     return f"did you mean {near[0]!r}?" if near else f"valid: {sorted(valid)}"
 
 
-def _check_keys(where, given, valid):
-    """Reject a non-object, or keys outside ``valid`` (with a hint)."""
+def _check_keys(where, given, defaults):
+    """Reject a non-object, keys outside ``defaults`` (with a hint), and a
+    value of another kind than its default (see ``_check_kind``)."""
     if not isinstance(given, dict):
         raise ValueError(f"{where} must be an object, got {given!r}")
-    unknown = sorted(set(given) - set(valid))
+    unknown = sorted(set(given) - set(defaults))
     if unknown:
         raise ValueError(f"{where}: unknown keys {unknown}; "
-                         + _did_you_mean(unknown[0], valid))
+                         + _did_you_mean(unknown[0], defaults))
+    for key, value in given.items():
+        _check_kind(where, key, value, defaults[key])
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_kind(where, key, value, default):
+    """An integer key takes only an int, a float key an int or a float, a
+    list of integers (layer widths) only ints, and a string key a string;
+    no number key takes a bool."""
+    if isinstance(default, list) and default and _is_int(default[0]):
+        ok, kind = isinstance(value, list) and all(map(_is_int, value)), "a list of integers"
+    elif _is_int(default):
+        ok, kind = _is_int(value), "an integer"
+    elif isinstance(default, float):
+        ok, kind = _is_int(value) or isinstance(value, float), "a number"
+    elif isinstance(default, str):
+        ok, kind = isinstance(value, str), "a string"
+    else:
+        return
+    if not ok:
+        raise ValueError(f"{where}: {key} must be {kind}, got {value!r}")
 
 
 def config_from_dict(raw):
@@ -161,12 +190,12 @@ def config_from_dict(raw):
     return ExperimentConfig(
         funnel=funnel_cfg, net=net, train=train_cfg,
         models=list(merged["models"]), baseline=merged["baseline"],
-        n_seeds=int(merged["n_seeds"]),
+        n_seeds=merged["n_seeds"],
         downsample_factor=float(merged["downsample_factor"]),
-        train_days=int(merged["train_days"]),
-        n_train_per_day=int(merged["n_train_per_day"]),
-        n_eval=int(merged["n_eval"]),
-        base_seed=int(merged["base_seed"]),
+        train_days=merged["train_days"],
+        n_train_per_day=merged["n_train_per_day"],
+        n_eval=merged["n_eval"],
+        base_seed=merged["base_seed"],
         out_dir=merged["out_dir"],
         train_overrides=raw.get("train_overrides", {}))
 
@@ -361,6 +390,10 @@ def emit_report(report, out_dir, fmt="csv"):
     return written
 
 
+class RunFailed(RuntimeError):
+    """A (model, seed) run that could not finish; the message names it."""
+
+
 @dataclass
 class DriftReport:
     config_fingerprint: str
@@ -378,7 +411,9 @@ def run_drift(cfg, models=("IP", "ESMM"), log=None):
     Offset n means the n-th day after the end of training; the ablation's
     standard eval day is offset 1, so decay is measured at offsets 2..6.
     Training evaluates on the offset-2 day after its last epoch, so that
-    score is reused rather than computed twice.
+    score is reused rather than computed twice. A run that fails raises
+    ``RunFailed`` naming its model and seed: the per-offset means need
+    every run.
     """
     needed = cfg.train_days + DRIFT_OFFSETS[-1]
     if cfg.funnel.n_days < needed:
@@ -397,13 +432,17 @@ def run_drift(cfg, models=("IP", "ESMM"), log=None):
         }
         guard_eval = eval_days[DRIFT_OFFSETS[0]]
         for model_name in models:
-            model, history = _train_one(cfg, model_name, seed_idx, train_ds, guard_eval)
-            for offset, ds in eval_days.items():
-                if ds is guard_eval and history.eval_metrics:
-                    ce = history.eval_metrics[-1].joint_ce
-                else:
-                    ce = tr.evaluate(model, ds).joint_ce
-                ces[(model_name, seed_idx, offset)] = ce
+            try:
+                model, history = _train_one(cfg, model_name, seed_idx, train_ds, guard_eval)
+                for offset, ds in eval_days.items():
+                    if ds is guard_eval and history.eval_metrics:
+                        ce = history.eval_metrics[-1].joint_ce
+                    else:
+                        ce = tr.evaluate(model, ds).joint_ce
+                    ces[(model_name, seed_idx, offset)] = ce
+            except Exception as exc:  # noqa: BLE001 - every offset needs every run
+                raise RunFailed(f"{model_name} seed {seed_idx}: "
+                                f"{type(exc).__name__}: {exc}") from exc
             log(f"seed {seed_idx} {model_name}: "
                 + " ".join(f"n{o}={ces[(model_name, seed_idx, o)]:.5f}"
                            for o in DRIFT_OFFSETS))
@@ -639,6 +678,9 @@ def main(argv=None):
         drift_models = cfg.models if models_explicit else ("IP", "ESMM")
         try:
             report = run_drift(cfg, models=drift_models, log=print)
+        except RunFailed as exc:
+            print(f"drift run failed: {exc}", file=sys.stderr)
+            return 1
         except ValueError as exc:
             print(f"invalid config: {exc}", file=sys.stderr)
             return 2

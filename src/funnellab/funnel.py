@@ -96,9 +96,17 @@ def _correlated_pair(rng, size, rho, scale):
 
 
 def _bisect_intercept(logits_no_intercept, target, weights=None, iters=200):
+    """Intercept whose (weighted) mean sigmoid hits ``target``.
+
+    Stops once ``lo`` and ``hi`` are adjacent floats (about 60 steps): from
+    there every further step leaves the returned midpoint unchanged, so the
+    result is the one all ``iters`` steps would give.
+    """
     lo, hi = -40.0, 40.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         p = _sigmoid(logits_no_intercept + mid)
         rate = np.average(p, weights=weights)
         if rate < target:
@@ -109,8 +117,11 @@ def _bisect_intercept(logits_no_intercept, target, weights=None, iters=200):
 
 
 def _sigmoid(v):
+    """1 / (1 + e) where v >= 0 and e / (1 + e) elsewhere, with e = exp(-|v|)."""
     e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    np.divide(e, d, out=e)
+    return np.divide(1.0, d, out=e, where=v >= 0)
 
 
 def make_funnel_config(dense_dim=16, n_categorical=2, vocab_size=100,
@@ -181,15 +192,27 @@ class Example:
     day: int
 
 
+def _binary_labels(name, values):
+    values = np.asarray(values)
+    if np.any((values != 0) & (values != 1)):
+        raise ValueError(f"{name} labels must be 0 or 1")
+    return np.asarray(values, dtype=np.int64)
+
+
 class Dataset:
-    """Columnar, immutable collection of examples plus provenance."""
+    """Columnar, immutable collection of examples plus provenance.
+
+    Construction checks the funnel's invariants: click and conversion labels
+    are 0 or 1, conversion implies click, and weights are finite and
+    nonnegative.
+    """
 
     def __init__(self, dense, cats, click, conversion, weight, day,
                  config_fingerprint, provenance):
         self.dense = np.asarray(dense, dtype=np.float64)
         self.cats = np.asarray(cats, dtype=np.int64)
-        self.click = np.asarray(click, dtype=np.int64)
-        self.conversion = np.asarray(conversion, dtype=np.int64)
+        self.click = _binary_labels("click", click)
+        self.conversion = _binary_labels("conversion", conversion)
         self.weight = np.asarray(weight, dtype=np.float64)
         self.day = np.asarray(day, dtype=np.int64)
         self.config_fingerprint = config_fingerprint
@@ -202,6 +225,8 @@ class Dataset:
                 raise ValueError(f"column {name} length {len(col)} != {n}")
         if np.any(self.conversion > self.click):
             raise ValueError("conversion=1 requires click=1")
+        if not np.all(np.isfinite(self.weight) & (self.weight >= 0)):
+            raise ValueError("weights must be finite and nonnegative")
 
     def __len__(self):
         return len(self.dense)
@@ -427,8 +452,8 @@ def dataset_from_file(path):
     data = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(header)))
     dense = data[:, :dense_dim]
     cats = data[:, dense_dim:dense_dim + n_cat].astype(np.int64)
-    click = data[:, dense_dim + n_cat].astype(np.int64)
-    conversion = data[:, dense_dim + n_cat + 1].astype(np.int64)
+    click = data[:, dense_dim + n_cat]
+    conversion = data[:, dense_dim + n_cat + 1]
     weight = data[:, dense_dim + n_cat + 2]
     day = data[:, dense_dim + n_cat + 3].astype(np.int64)
     return Dataset(dense, cats, click, conversion, weight, day, fingerprint, provenance)

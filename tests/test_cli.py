@@ -2,6 +2,10 @@
 drift report shape, gradcheck wiring, CLI exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +50,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             tiny_config(models=["IP", "DeepFM"])
 
+    @pytest.mark.parametrize("extra,match", [
+        ({"n_train_per_day": -5}, "n_train_per_day and n_eval must be >= 1"),
+        ({"n_eval": 0}, "n_train_per_day and n_eval must be >= 1"),
+        ({"base_seed": -1}, "base_seed must be >= 0"),
+    ], ids=["negative-rows", "no-eval", "negative-seed"])
+    def test_rejects_out_of_range_sizes(self, extra, match):
+        with pytest.raises(ValueError, match=match):
+            tiny_config(**extra)
+
     def test_rejects_eval_day_beyond_horizon(self):
         with pytest.raises(ValueError):
             tiny_config(train_days=12)
@@ -73,11 +86,34 @@ class TestExperimentConfig:
         ({"train_overrides": [["ESP", {}]]}, "train_overrides must be an object"),
         ({"net": [4]}, "net must be an object"),
         ({"models": "IP"}, "models must be a list"),
+        ({"n_seeds": 2.7}, "config: n_seeds must be an integer, got 2.7"),
+        ({"n_train_per_day": "100"}, "config: n_train_per_day must be an integer, got '100'"),
+        ({"n_eval": True}, "config: n_eval must be an integer, got True"),
+        ({"base_seed": 1e3}, "config: base_seed must be an integer"),
+        ({"downsample_factor": "2"}, "config: downsample_factor must be a number"),
+        ({"downsample_factor": False}, "config: downsample_factor must be a number"),
+        ({"funnel": {"dense_dim": 4.0}}, "funnel: dense_dim must be an integer"),
+        ({"funnel": {"drift_rate": None}}, "funnel: drift_rate must be a number"),
+        ({"net": {"shared_layer_dims": [8, 6.5]}},
+         "net: shared_layer_dims must be a list of integers"),
+        ({"net": {"head_layer_dims": "44"}}, "net: head_layer_dims must be a list of integers"),
+        ({"train": {"epochs": 1.5}}, "train: epochs must be an integer"),
+        ({"train_overrides": {"ESP": {"batch_size": 64.0}}},
+         "train_overrides\\['ESP'\\]: batch_size must be an integer"),
+        ({"out_dir": 5}, "config: out_dir must be a string, got 5"),
+        ({"train": {"optimizer": ["adam"]}}, "train: optimizer must be a string"),
     ], ids=["top", "net", "funnel", "train", "override-seed", "overrides-list",
-            "section-list", "models-string"])
+            "section-list", "models-string", "float-int", "string-int", "bool-int",
+            "exponent-int", "string-float", "bool-float", "funnel-int", "funnel-null",
+            "layer-float", "layer-string", "train-int", "override-int", "out-dir-int",
+            "optimizer-list"])
     def test_unknown_or_malformed_keys_rejected(self, extra, match):
         with pytest.raises(ValueError, match=match):
             tiny_config(**extra)
+
+    def test_integer_accepted_for_float_key(self):
+        cfg = tiny_config(downsample_factor=3, train={**TINY["train"], "learning_rate": 1})
+        assert cfg.downsample_factor == 3.0 and cfg.train.learning_rate == 1
 
     def test_zero_dim_network_rejected(self):
         with pytest.raises(ValueError):
@@ -307,8 +343,11 @@ class TestMainCli:
         ({"n_seed": 2}, []),
         ({"net": {**TINY["net"], "embeding_dim": 4}}, []),
         ({"models": "IP"}, []),
+        ({"n_seeds": 2.7}, []),
+        ({"n_train_per_day": "100"}, []),
+        ({"n_train_per_day": -5}, []),
     ], ids=["no-baseline", "override-key", "override-model", "top-key", "section-key",
-            "models-string"])
+            "models-string", "float-int", "string-int", "negative-rows"])
     def test_bad_ablation_input_exits_two_before_training(
             self, tmp_path, monkeypatch, capsys, extra, flags):
         def no_training(*args):
@@ -371,8 +410,33 @@ class TestMainCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("invalid config: ")
 
+    def test_failed_drift_run_exits_one_naming_the_run(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            **TINY, "models": ["ESMM", "IP"],
+            "train_overrides": {"IP": {"learning_rate": 1e300}}}))
+        out_dir = tmp_path / "drift"
+        assert cli.main(["drift", "--config", str(config), "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("drift run failed: IP seed 0: FloatingPointError: ")
+        assert not out_dir.exists()
+
     def test_drift_insufficient_days_exit_two(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(
             {**TINY, "models": ["IP"], "funnel": {**TINY["funnel"], "n_days": 5}}))
         assert cli.main(["drift", "--config", str(config)]) == 2
+
+
+def test_setup_never_imports_scipy_stats():
+    """The Welch test needs only scipy.special; scipy.stats costs most of a
+    second to import, so set-up must not load it."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, funnellab.cli; funnellab.cli.config_from_dict({}); "
+            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False", "True"]

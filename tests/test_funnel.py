@@ -118,6 +118,41 @@ class TestMakeFunnelConfig:
         assert a.fingerprint() == fd.make_funnel_config(seed=1).fingerprint()
 
 
+def _reference_intercept(logits, target, weights=None):
+    """All 200 bisection steps, with the sigmoid written out in full."""
+    lo, hi = -40.0, 40.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        v = logits + mid
+        e = np.exp(-np.abs(v))
+        p = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        if np.average(p, weights=weights) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestInterceptBisection:
+    """Stopping once the bracket cannot shrink further returns exactly what
+    the full 200 steps return."""
+
+    @pytest.mark.parametrize("scale,shift,target,weighted", [
+        (2.5, 0.0, 0.05, False),
+        (2.5, 0.0, 0.10, True),
+        (0.3, 1.0, 0.5, False),
+        (4.0, -3.0, 0.001, True),
+        (1.0, 2.0, 0.99, False),
+        (0.0, 0.0, 0.2, True),
+    ])
+    def test_equals_full_200_step_loop(self, scale, shift, target, weighted):
+        rng = np.random.default_rng(int(1000 * target) + weighted)
+        logits = shift + scale * rng.standard_normal(20_000)
+        weights = rng.random(20_000) if weighted else None
+        got = fd._bisect_intercept(logits, target, weights=weights)
+        assert got == _reference_intercept(logits, target, weights)
+
+
 class TestGenerateDay:
     def test_conversion_implies_click(self):
         ds = fd.generate_day(_toy_config(), 0, 20_000, seed=1)
@@ -378,3 +413,44 @@ class TestDatasetIo:
             fd.Dataset(np.zeros((1, 1)), np.zeros((1, 0), dtype=int),
                        np.array([0]), np.array([1]), np.ones(1),
                        np.zeros(1, dtype=int), "fp", "bad")
+
+    @pytest.mark.parametrize("click,conversion,weight,match", [
+        ([2, 0], [0, 0], [1.0, 1.0], "click labels must be 0 or 1"),
+        ([-1, 0], [0, 0], [1.0, 1.0], "click labels must be 0 or 1"),
+        ([0.5, 0], [0, 0], [1.0, 1.0], "click labels must be 0 or 1"),
+        ([1, 1], [0, 2], [1.0, 1.0], "conversion labels must be 0 or 1"),
+        ([1, 0], [np.nan, 0], [1.0, 1.0], "conversion labels must be 0 or 1"),
+        ([1, 0], [1, 0], [1.0, -0.5], "weights must be finite and nonnegative"),
+        ([1, 0], [1, 0], [np.nan, 1.0], "weights must be finite and nonnegative"),
+        ([1, 0], [1, 0], [1.0, np.inf], "weights must be finite and nonnegative"),
+    ], ids=["click-2", "click-negative", "click-half", "conversion-2", "conversion-nan",
+            "weight-negative", "weight-nan", "weight-inf"])
+    def test_labels_and_weights_checked(self, click, conversion, weight, match):
+        with pytest.raises(ValueError, match=match):
+            fd.Dataset(np.zeros((2, 1)), np.zeros((2, 0), dtype=int),
+                       np.array(click), np.array(conversion), np.array(weight),
+                       np.zeros(2, dtype=int), "fp", "bad")
+
+    def test_zero_weight_and_boolean_labels_accepted(self):
+        ds = fd.Dataset(np.zeros((2, 1)), np.zeros((2, 0), dtype=int),
+                        np.array([True, False]), np.array([True, False]),
+                        np.array([0.0, 3.0]), np.zeros(2, dtype=int), "fp", "ok")
+        assert ds.click.dtype == np.int64 and list(ds.conversion) == [1, 0]
+
+    @pytest.mark.parametrize("column,value,match", [
+        ("click", "2", "click labels"),
+        ("conversion", "0.5", "conversion labels"),
+        ("weight", "-1.0", "weights"),
+        ("weight", "nan", "weights"),
+    ])
+    def test_file_with_bad_row_rejected(self, tmp_path, column, value, match):
+        ds = fd.generate_day(_toy_config(), 0, 5, seed=10)
+        path = tmp_path / "funnel.csv"
+        fd.dataset_to_file(ds, path)
+        lines = path.read_text().splitlines()
+        header = lines[2].split(",")
+        row = lines[3].split(",")
+        row[header.index(column)] = value
+        path.write_text("\n".join(lines[:3] + [",".join(row)] + lines[4:]) + "\n")
+        with pytest.raises(ValueError, match=match):
+            fd.dataset_from_file(path)

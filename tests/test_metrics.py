@@ -172,6 +172,25 @@ class TestTwoSidedTTest:
         with pytest.raises(ValueError):
             metrics.two_sided_t_test([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("na,nb", [(10, 10), (6, 15), (2, 24), (3, 2)])
+    def test_equals_scipy_to_the_last_bit(self, na, nb):
+        rng = np.random.default_rng(100 * na + nb)
+        for _ in range(250):
+            scale = 10.0 ** rng.uniform(-6.0, 1.0)
+            a = 1.0 + scale * rng.standard_normal(na)
+            b = 1.0 + scale * (rng.uniform(-1, 1) + rng.uniform(0.1, 3) * rng.standard_normal(nb))
+            expected = scipy_stats.ttest_ind(a, b, equal_var=False).pvalue
+            assert metrics.two_sided_t_test(a, b) == expected
+
+    def test_one_zero_variance_group_equals_scipy(self):
+        rng = np.random.default_rng(7)
+        for na, nb in ((4, 4), (5, 9), (12, 2)):
+            constant = np.full(na, 1.25)
+            varied = 1.0 + 0.3 * rng.standard_normal(nb)
+            for a, b in ((constant, varied), (varied, constant)):
+                expected = scipy_stats.ttest_ind(a, b, equal_var=False).pvalue
+                assert metrics.two_sided_t_test(a, b) == expected
+
 
 class TestCompareModels:
     def test_baseline_mean_is_one_and_pvalues_symmetric(self):
