@@ -289,7 +289,8 @@ def dense_forward(layer, x):
             _accumulate(x, layer.weights.value.T @ out_grad)
 
     elif x.value.ndim == 2:
-        value = x.value @ layer.weights.value.T + layer.biases.value
+        value = x.value @ layer.weights.value.T
+        value += layer.biases.value
 
         def backward_fn(out_grad):
             _accumulate(w, out_grad.T @ x.value)
@@ -326,9 +327,12 @@ class EmbeddingTable:
         rows = tape.watch(self.rows)
 
         def backward_fn(out_grad):
-            if rows.grad is None:
-                rows.grad = np.zeros_like(rows.value)
-            np.add.at(rows.grad, indices, out_grad)
+            # Scatter-add as one bincount over flat (row, column) bins: each
+            # bin sums its contributions in index order from 0.0, the same
+            # operations as np.add.at into a zero gradient.
+            bins = (indices.reshape(-1, 1) * self.dim + np.arange(self.dim)).ravel()
+            grad = np.bincount(bins, weights=out_grad.ravel(), minlength=self.rows.value.size)
+            _accumulate(rows, grad.reshape(self.rows.value.shape))
 
         return tape._record(self.rows.value[indices], (rows,), "embed", backward_fn)
 

@@ -141,6 +141,11 @@ def make_funnel_config(dense_dim=16, n_categorical=2, vocab_size=100,
         raise ValueError("seed must be nonnegative")
     if not 0.0 <= correlation <= 1.0:
         raise ValueError("correlation must be in [0, 1]")
+    for name, rate in (("base_click_rate", base_click_rate),
+                       ("base_conv_rate", base_conv_rate)):
+        # NaN fails both comparisons, so it is rejected too.
+        if not 0.0 < rate < 1.0:
+            raise ValueError(f"{name} must be inside (0, 1), got {rate}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0F1]))
 
     click_dense, conv_dense = _correlated_pair(rng, dense_dim, correlation, dense_signal)

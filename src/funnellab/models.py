@@ -40,6 +40,15 @@ from . import autodiff as ad
 
 MODEL_NAMES = ("IP", "ESMM", "ESMM-NS", "ESSP-Split", "IPSP", "ESP")
 
+# Rows per forward pass in ``Model.predict_all``. A whole eval set in one
+# pass gives every dense layer full-height temporaries (30k x 64 doubles is
+# 15 MB) on fresh pages; at this height they are 1 MB and stay in cache.
+# BLAS can round a row differently in the last bit when it sits in a short
+# block (OpenBLAS: under ~150 rows) or one whose height is not a multiple of
+# its kernel's row tile; a power of two this tall is neither, and the
+# remainder joins the last block, so every row equals its one-pass value.
+PREDICT_BLOCK_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class ModelCharacteristics:
@@ -148,6 +157,14 @@ class _Head:
         return out + self.out.params()
 
 
+def _as_batch(dense, cats):
+    dense = np.asarray(dense, dtype=np.float64)
+    cats = np.asarray(cats, dtype=np.int64)
+    if dense.ndim != 2:
+        raise ValueError("forward_heads expects a batch (n, dense_dim)")
+    return dense, cats
+
+
 class Model:
     """A built design: towers, heads, and the prediction compositions."""
 
@@ -196,10 +213,7 @@ class Model:
         under it run. The joint output is the product of the click and
         conditional sigmoids when both are selected, or the direct head.
         """
-        dense = np.asarray(dense, dtype=np.float64)
-        cats = np.asarray(cats, dtype=np.int64)
-        if dense.ndim != 2:
-            raise ValueError("forward_heads expects a batch (n, dense_dim)")
+        dense, cats = _as_batch(dense, cats)
         heads = tuple(self._heads) if heads is None else heads
         reps = {tower: self._stacks[tower].forward(tape, dense, cats)
                 for tower in dict.fromkeys(self._wiring[name] for name in heads)}
@@ -210,24 +224,34 @@ class Model:
         return out
 
     def predict_all(self, dense, cats):
-        """Raw-array predictions for a batch; no gradients retained."""
-        tape = ad.Tape()
-        nodes = self.forward_heads(tape, dense, cats)
-        values = {name: node.value for name, node in nodes.items()}
-        tape.release()
+        """Raw-array predictions for a batch; no gradients retained.
+
+        Rows run through ``forward_heads`` in blocks of PREDICT_BLOCK_ROWS,
+        one tape per block, released as soon as its values are copied out;
+        the last block takes the remainder (so it holds up to twice as many
+        rows), and a batch shorter than one block is one forward pass.
+        """
+        dense, cats = _as_batch(dense, cats)
+        n = len(dense)
+        starts = range(0, n - PREDICT_BLOCK_ROWS + 1, PREDICT_BLOCK_ROWS) or [0]
+        stops = [*starts[1:], n]
+        values = {}
+        for start, stop in zip(starts, stops):
+            tape = ad.Tape()
+            nodes = self.forward_heads(tape, dense[start:stop], cats[start:stop])
+            for name, node in nodes.items():
+                if name not in values:
+                    values[name] = np.empty(n)
+                values[name][start:stop] = node.value
+            tape.release()
         return values
 
     def predict_dataset(self, ds):
         return self.predict_all(ds.dense, ds.cats)
 
     def _predict_one(self, key, dense, cats):
-        dense = np.asarray(dense, dtype=np.float64)
-        cats = np.asarray(cats, dtype=np.int64)
-        single = dense.ndim == 1
-        if single:
-            dense = dense[None, :]
-            cats = cats[None, :]
-        out = self.predict_all(dense, cats)[key]
+        single = np.ndim(dense) == 1
+        out = self.predict_all(np.atleast_2d(dense), np.atleast_2d(cats))[key]
         return float(out[0]) if single else out
 
     def predict_joint(self, dense, cats):

@@ -156,20 +156,27 @@ def train(model, train_ds, eval_ds, cfg):
     for epoch in range(cfg.epochs):
         start_time = time.perf_counter()
         losses = {}
-        for heads, ds, opt, rng in jobs:
-            sums = {}
-            weight_total = 0.0
-            for idx in _epoch_batches(rng, len(ds), cfg.batch_size):
-                tape = ad.Tape()
-                total, terms, batch_weight = batch_loss(model, tape, ds, idx, heads)
-                _check_finite(float(total.value), model.name, epoch)
-                tape.backward(total)
-                opt.step()
-                for key, term in terms.items():
-                    sums[key] = sums.get(key, 0.0) + float(term.value)
-                weight_total += batch_weight
-            losses.update((key, value / weight_total) for key, value in sums.items())
+        # A diverging run overflows in the forward pass; the loss check, Adam
+        # and the eval check below abort it with a named FloatingPointError,
+        # so numpy prints no warning text on the way. The eval check catches
+        # an epoch whose last step diverged: no later loss would see it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for heads, ds, opt, rng in jobs:
+                sums = {}
+                weight_total = 0.0
+                for idx in _epoch_batches(rng, len(ds), cfg.batch_size):
+                    tape = ad.Tape()
+                    total, terms, batch_weight = batch_loss(model, tape, ds, idx, heads)
+                    _check_finite(float(total.value), model.name, epoch)
+                    tape.backward(total)
+                    opt.step()
+                    for key, term in terms.items():
+                        sums[key] = sums.get(key, 0.0) + float(term.value)
+                    weight_total += batch_weight
+                losses.update((key, value / weight_total) for key, value in sums.items())
+            record = evaluate(model, eval_ds)
+        _check_finite(record.joint_ce, model.name, epoch)
         history.head_losses.append(losses)
-        history.eval_metrics.append(evaluate(model, eval_ds))
+        history.eval_metrics.append(record)
         history.epoch_seconds.append(time.perf_counter() - start_time)
     return model, history

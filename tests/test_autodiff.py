@@ -202,8 +202,8 @@ class TestBackward:
             tape.backward(root)
 
     def test_tape_freed_by_reference_counting(self, monkeypatch):
-        """Backward and prediction release their tapes, so no tape waits for
-        the cyclic collector."""
+        """Backward and prediction release their tapes, one per prediction
+        block, so no tape waits for the cyclic collector."""
         tapes = []
 
         class RecordedTape(ad.Tape):
@@ -212,6 +212,7 @@ class TestBackward:
                 tapes.append(weakref.ref(self))
 
         monkeypatch.setattr(ad, "Tape", RecordedTape)
+        monkeypatch.setattr(md, "PREDICT_BLOCK_ROWS", 2)
         net = md.NetworkConfig(dense_input_dim=3, n_categorical=1, vocab_size=5,
                                embedding_dim=2, shared_layer_dims=(4, 3),
                                head_layer_dims=(2, 2))
@@ -232,10 +233,10 @@ class TestBackward:
         try:
             train_step()
             model.predict_all(dense, cats)
-            assert len(tapes) == 2
+            assert len(tapes) == 1 + 3
             ad.gradient_check(loss, model.parameters()[:1], max_coords_per_param=1)
-            assert len(tapes) == 5
-            assert [ref() for ref in tapes] == [None] * 5
+            assert len(tapes) == 7
+            assert [ref() for ref in tapes] == [None] * 7
         finally:
             gc.enable()
 
@@ -432,6 +433,21 @@ class TestEmbeddingTable:
         np.testing.assert_allclose(emb.rows.grad[1], [2.0, 2.0])
         np.testing.assert_allclose(emb.rows.grad[3], [1.0, 1.0])
         np.testing.assert_allclose(emb.rows.grad[0], [0.0, 0.0])
+
+    def test_gradient_equals_add_at_bit_for_bit(self):
+        """Repeated rows sum their contributions in index order and rows
+        never looked up get exactly zero, as with np.add.at into zeros."""
+        rng = np.random.default_rng(4)
+        emb = ad.EmbeddingTable(12, 5, rng)
+        idx = np.concatenate([rng.integers(0, 6, 200), [9, 9, 0]])
+        upstream = rng.standard_normal((len(idx), 5)) * 10.0 ** rng.integers(-8, 8, (len(idx), 1))
+        tape = ad.Tape()
+        rows = emb.lookup(tape, idx)
+        tape.backward(ad.vsum(ad.multiply(rows, tape.constant(upstream))))
+        want = np.zeros_like(emb.rows.value)
+        np.add.at(want, idx, upstream)
+        assert emb.rows.grad.tobytes() == want.tobytes()
+        assert not emb.rows.grad[[6, 7, 8, 10, 11]].any()
 
     def test_out_of_range_index_rejected(self):
         emb = ad.EmbeddingTable(4, 2, np.random.default_rng(1))

@@ -346,8 +346,14 @@ class TestMainCli:
         ({"n_seeds": 2.7}, []),
         ({"n_train_per_day": "100"}, []),
         ({"n_train_per_day": -5}, []),
+        ({"funnel": {**TINY["funnel"], "base_click_rate": 1.5}}, []),
+        ({"funnel": {**TINY["funnel"], "base_click_rate": 0}}, []),
+        ({"funnel": {**TINY["funnel"], "base_click_rate": 1}}, []),
+        ({"funnel": {**TINY["funnel"], "base_conv_rate": -0.1}}, []),
+        ({"funnel": {**TINY["funnel"], "base_click_rate": float("nan")}}, []),
     ], ids=["no-baseline", "override-key", "override-model", "top-key", "section-key",
-            "models-string", "float-int", "string-int", "negative-rows"])
+            "models-string", "float-int", "string-int", "negative-rows", "click-rate-above-1",
+            "click-rate-0", "click-rate-1", "conv-rate-negative", "click-rate-nan"])
     def test_bad_ablation_input_exits_two_before_training(
             self, tmp_path, monkeypatch, capsys, extra, flags):
         def no_training(*args):
@@ -373,7 +379,7 @@ class TestMainCli:
         assert (out_dir / "ablation_runs.csv").exists()
         assert (out_dir / "ablation_stats.csv").exists()
 
-    def test_baseline_failing_every_seed_keeps_report(self, tmp_path, capsys):
+    def test_baseline_failing_every_seed_keeps_report(self, tmp_path, capsys, recwarn):
         """With no baseline stats the per-run rows are still written, the
         stats output says why, and the command exits 1 without a traceback."""
         config = tmp_path / "cfg.json"
@@ -382,6 +388,7 @@ class TestMainCli:
             "train_overrides": {"IP": {"learning_rate": 1e300}}}))
         out_dir = tmp_path / "reports"
         assert cli.main(["ablation", "--config", str(config), "--out", str(out_dir)]) == 1
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert "stats not computed" in capsys.readouterr().out
         runs = (out_dir / "ablation_runs.csv").read_text().splitlines()
         assert "IP,0,,,,," in runs and "IP,1,,,,," in runs
@@ -410,13 +417,14 @@ class TestMainCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("invalid config: ")
 
-    def test_failed_drift_run_exits_one_naming_the_run(self, tmp_path, capsys):
+    def test_failed_drift_run_exits_one_naming_the_run(self, tmp_path, capsys, recwarn):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
             **TINY, "models": ["ESMM", "IP"],
             "train_overrides": {"IP": {"learning_rate": 1e300}}}))
         out_dir = tmp_path / "drift"
         assert cli.main(["drift", "--config", str(config), "--out", str(out_dir)]) == 1
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("drift run failed: IP seed 0: FloatingPointError: ")

@@ -6,6 +6,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funnellab import autodiff as ad
 from funnellab import funnel as fd
@@ -153,6 +155,71 @@ class TestPredictions:
         a = md.build("IPSP", NET, seed=11).predict_joint(dense, cats)
         b = md.build("IPSP", NET, seed=11).predict_joint(dense, cats)
         np.testing.assert_array_equal(a, b)
+
+
+def _one_pass(model, dense, cats):
+    tape = ad.Tape()
+    values = {name: node.value for name, node in model.forward_heads(tape, dense, cats).items()}
+    tape.release()
+    return values
+
+
+def _assert_bit_equal(got, want):
+    assert set(got) == set(want)
+    for name in want:
+        assert got[name].shape == want[name].shape
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+class TestBlockedPrediction:
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(md.MODEL_NAMES),
+           n=st.one_of(st.sampled_from([0, 1, 6, 7, 8, 13, 14, 15, 21, 22]),
+                       st.integers(0, 60)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blocks_equal_one_pass(self, name, n, seed):
+        """With 7-row blocks, predict_all equals one forward pass over the
+        whole batch bit for bit, and no block is shorter than 7 rows unless
+        the batch is."""
+        model = md.build(name, NET, seed=seed % 1000)
+        rng = np.random.default_rng(seed)
+        for param in model.parameters():
+            param.value += rng.normal(0.0, 0.3, param.value.shape)
+        dense, cats = _batch(n, seed=seed)
+        heights = []
+        forward_heads = md.Model.forward_heads
+
+        def recording(self, tape, dense, cats, heads=None):
+            heights.append(len(dense))
+            return forward_heads(self, tape, dense, cats, heads)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(md, "PREDICT_BLOCK_ROWS", 7)
+            mp.setattr(md.Model, "forward_heads", recording)
+            got = model.predict_all(dense, cats)
+        _assert_bit_equal(got, _one_pass(model, dense, cats))
+        assert sum(heights) == n and len(heights) == max(1, n // 7)
+        assert all(7 <= h < 14 for h in heights) or heights == [n]
+
+    def test_short_tail_joins_last_block_at_full_width(self):
+        """At the default widths, a tail block of a few rows can round
+        differently from the same rows inside a tall pass; the remainder
+        joins the last block, so predictions stay equal to one pass."""
+        net = md.NetworkConfig()
+        rng = np.random.default_rng(0)
+        n = 2 * md.PREDICT_BLOCK_ROWS + 8
+        dense = rng.standard_normal((n, net.dense_input_dim))
+        cats = rng.integers(0, net.vocab_size, (n, net.n_categorical))
+        for name in ("IP", "ESMM"):
+            model = md.build(name, net, seed=1)
+            for param in model.parameters():
+                param.value += rng.normal(0.0, 0.05, param.value.shape)
+            _assert_bit_equal(model.predict_all(dense, cats), _one_pass(model, dense, cats))
+
+    def test_missing_batch_axis_rejected(self):
+        model = md.build("ESMM", NET, seed=0)
+        with pytest.raises(ValueError, match="expects a batch"):
+            model.predict_all(np.zeros(NET.dense_input_dim), np.zeros(2, dtype=int))
 
 
 def _regime(name, click, weight, conversion=None):

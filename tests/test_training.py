@@ -88,6 +88,17 @@ class TestTrainContract:
         with pytest.raises(FloatingPointError, match="non-finite"):
             tr.train(model, train_ds, eval_ds, tr.TrainConfig(epochs=1))
 
+    def test_diverged_last_step_aborts_without_numpy_warnings(self, recwarn):
+        """One step at a huge learning rate leaves finite but enormous
+        weights that no later loss sees; evaluation must not score them
+        with NaN metrics, and numpy must print no warning on the way."""
+        _, net, train_ds, eval_ds = _toy_setup()
+        model = md.build("ESMM", net, seed=0)
+        cfg = tr.TrainConfig(learning_rate=1e300, batch_size=len(train_ds), epochs=1)
+        with pytest.raises(FloatingPointError, match="ESMM at epoch 0"):
+            tr.train(model, train_ds, eval_ds, cfg)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_invalid_train_config_rejected(self):
         with pytest.raises(ValueError):
             tr.TrainConfig(learning_rate=-1.0)
