@@ -270,35 +270,21 @@ class DenseLayer:
 
 
 def dense_forward(layer, x):
-    """weights . input + biases, recorded on the tape of ``x``.
-
-    Accepts a single vector (in_dim,) or a batch (n, in_dim).
-    """
-    if x.value.shape[-1] != layer.in_dim:
-        raise ValueError(
-            f"dense input dim {x.value.shape[-1]} != layer in_dim {layer.in_dim}")
+    """x . weights^T + biases for a batch x of shape (n, in_dim), recorded on
+    the tape of ``x``."""
+    if x.value.ndim != 2 or x.value.shape[1] != layer.in_dim:
+        raise ValueError(f"dense input must be (n, {layer.in_dim}), got {x.value.shape}")
     tape = x.tape
     w = tape.watch(layer.weights)
     b = tape.watch(layer.biases)
-    if x.value.ndim == 1:
-        value = layer.weights.value @ x.value + layer.biases.value
+    value = x.value @ layer.weights.value.T
+    value += layer.biases.value
 
-        def backward_fn(out_grad):
-            _accumulate(w, np.outer(out_grad, x.value))
-            _accumulate(b, out_grad)
-            _accumulate(x, layer.weights.value.T @ out_grad)
+    def backward_fn(out_grad):
+        _accumulate(w, out_grad.T @ x.value)
+        _accumulate(b, out_grad.sum(axis=0))
+        _accumulate(x, out_grad @ layer.weights.value)
 
-    elif x.value.ndim == 2:
-        value = x.value @ layer.weights.value.T
-        value += layer.biases.value
-
-        def backward_fn(out_grad):
-            _accumulate(w, out_grad.T @ x.value)
-            _accumulate(b, out_grad.sum(axis=0))
-            _accumulate(x, out_grad @ layer.weights.value)
-
-    else:
-        raise ValueError(f"dense input must be 1-D or 2-D, got ndim {x.value.ndim}")
     return tape._record(value, (x, w, b), "dense", backward_fn)
 
 
@@ -431,32 +417,6 @@ class Adam:
         step /= denom
         for param, param_step in zip(self.params, self._steps):
             param.value -= param_step
-
-
-class SGD:
-    """Plain gradient descent; kept around for simple oracle tests."""
-
-    def __init__(self, params, lr):
-        self.params = list(params)
-        self.lr = float(lr)
-
-    def step(self):
-        for param in self.params:
-            g = param.grad
-            if g is None:
-                raise ValueError(f"parameter {param.name!r} has no gradient; run backward first")
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError(
-                    f"non-finite gradient for {param.name!r}: training diverged")
-            param.value -= self.lr * g
-
-
-def make_optimizer(name, params, lr):
-    if name == "adam":
-        return Adam(params, lr)
-    if name == "sgd":
-        return SGD(params, lr)
-    raise ValueError(f"unknown optimizer {name!r} (expected 'adam' or 'sgd')")
 
 
 def gradient_check(loss_fn, params, h=1e-5, rel_tol=1e-4, abs_tol=1e-7,

@@ -51,7 +51,6 @@ DEFAULT_CONFIG = {
         "learning_rate": 0.01,
         "batch_size": 512,
         "epochs": 12,
-        "optimizer": "adam",
     },
     "train_overrides": {},
     "models": list(md.MODEL_NAMES),
@@ -72,15 +71,15 @@ class ExperimentConfig:
     net: md.NetworkConfig
     train: tr.TrainConfig
     models: list
-    baseline: str = "IP"
-    n_seeds: int = 10
-    downsample_factor: float = 10.0
-    train_days: int = 4
-    n_train_per_day: int = 200_000
-    n_eval: int = 50_000
-    base_seed: int = 0
-    out_dir: str = "reports"
-    train_overrides: dict = field(default_factory=dict)
+    baseline: str
+    n_seeds: int
+    downsample_factor: float
+    train_days: int
+    n_train_per_day: int
+    n_eval: int
+    base_seed: int
+    out_dir: str
+    train_overrides: dict
 
     def __post_init__(self):
         if self.n_seeds < 2:
@@ -90,6 +89,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown models {sorted(unknown)}; valid: {md.MODEL_NAMES}")
         if not self.models:
             raise ValueError("at least one model required")
+        repeated = sorted({name for name in self.models if self.models.count(name) > 1})
+        if repeated:
+            raise ValueError(f"models must be distinct; repeated: {repeated}")
         if self.downsample_factor < 1:
             raise ValueError("downsample_factor must be >= 1")
         if self.train_days < 1:
@@ -149,7 +151,7 @@ def _is_int(value):
 
 
 def _check_kind(where, key, value, default):
-    """An integer key takes only an int, a float key an int or a float, a
+    """An integer key takes only an int, a float key a finite int or float, a
     list of integers (layer widths) only ints, and a string key a string;
     no number key takes a bool."""
     if isinstance(default, list) and default and _is_int(default[0]):
@@ -158,6 +160,9 @@ def _check_kind(where, key, value, default):
         ok, kind = _is_int(value), "an integer"
     elif isinstance(default, float):
         ok, kind = _is_int(value) or isinstance(value, float), "a number"
+        # rejects NaN, infinities and ints beyond the float range
+        if ok and not abs(value) <= sys.float_info.max:
+            ok, kind = False, "finite"
     elif isinstance(default, str):
         ok, kind = isinstance(value, str), "a string"
     else:

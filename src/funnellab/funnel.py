@@ -185,18 +185,6 @@ def _cat_contrib(table, cats):
     return sum(table[j][cats[:, j]] for j in range(table.shape[0]))
 
 
-@dataclass(frozen=True)
-class Example:
-    """One impression: features, click/conversion labels, loss weight, day."""
-
-    dense_features: np.ndarray
-    categorical_features: np.ndarray
-    click: int
-    conversion: int
-    weight: float
-    day: int
-
-
 def _binary_labels(name, values):
     values = np.asarray(values)
     if np.any((values != 0) & (values != 1)):
@@ -235,10 +223,6 @@ class Dataset:
 
     def __len__(self):
         return len(self.dense)
-
-    def example(self, i):
-        return Example(self.dense[i], self.cats[i], int(self.click[i]),
-                       int(self.conversion[i]), float(self.weight[i]), int(self.day[i]))
 
     def subset(self, index):
         return Dataset(self.dense[index], self.cats[index], self.click[index],

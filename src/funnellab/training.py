@@ -15,8 +15,6 @@ concurrently since each owns its model, tape, and RNG. Evaluation always
 sits strictly in the future of the training days.
 """
 
-import csv
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,38 +28,19 @@ class TrainConfig:
     learning_rate: float = 0.01
     batch_size: int = 512
     epochs: int = 12
-    optimizer: str = "adam"
     seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs < 0:
             raise ValueError(f"invalid training config: {self}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
 
 
 @dataclass
 class RunHistory:
-    """Per-epoch train losses (by head), eval metrics, and wall-clock."""
+    """Per-epoch train losses (by head) and eval metrics."""
 
     head_losses: list = field(default_factory=list)
     eval_metrics: list = field(default_factory=list)
-    epoch_seconds: list = field(default_factory=list)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "head", "train_loss", "eval_joint_ce",
-                             "eval_joint_pr_auc", "eval_calibration_ratio",
-                             "eval_ctr_ce", "epoch_seconds"])
-            for epoch, (losses, record, secs) in enumerate(
-                    zip(self.head_losses, self.eval_metrics, self.epoch_seconds)):
-                for head, loss in losses.items():
-                    writer.writerow([
-                        epoch, head, repr(loss), repr(record.joint_ce),
-                        repr(record.joint_pr_auc), repr(record.calibration_ratio),
-                        "" if record.ctr_ce is None else repr(record.ctr_ce),
-                        repr(secs)])
 
 
 def evaluate(model, ds):
@@ -151,10 +130,9 @@ def train(model, train_ds, eval_ds, cfg):
     history = RunHistory()
     if cfg.epochs == 0:
         return model, history
-    jobs = [(heads, ds, ad.make_optimizer(cfg.optimizer, params, cfg.learning_rate), rng)
+    jobs = [(heads, ds, ad.Adam(params, cfg.learning_rate), rng)
             for heads, ds, params, rng in loss_jobs(model, train_ds, cfg.seed)]
     for epoch in range(cfg.epochs):
-        start_time = time.perf_counter()
         losses = {}
         # A diverging run overflows in the forward pass; the loss check, Adam
         # and the eval check below abort it with a named FloatingPointError,
@@ -178,5 +156,4 @@ def train(model, train_ds, eval_ds, cfg):
         _check_finite(record.joint_ce, model.name, epoch)
         history.head_losses.append(losses)
         history.eval_metrics.append(record)
-        history.epoch_seconds.append(time.perf_counter() - start_time)
     return model, history

@@ -20,20 +20,20 @@ class TestDenseForward:
     def test_identity_weights_zero_bias(self):
         layer = ad.DenseLayer.from_arrays(np.eye(2), np.zeros(2))
         tape = ad.Tape()
-        out = layer(_node(tape, [1.0, 2.0]))
-        np.testing.assert_allclose(out.value, [1.0, 2.0])
+        out = layer(_node(tape, [[1.0, 2.0]]))
+        np.testing.assert_allclose(out.value, [[1.0, 2.0]])
 
     def test_zero_weights_bias_only(self):
         layer = ad.DenseLayer.from_arrays(np.zeros((1, 2)), [3.0])
         tape = ad.Tape()
-        out = layer(_node(tape, [7.0, -4.0]))
-        np.testing.assert_allclose(out.value, [3.0])
+        out = layer(_node(tape, [[7.0, -4.0]]))
+        np.testing.assert_allclose(out.value, [[3.0]])
 
     def test_hand_sum(self):
         layer = ad.DenseLayer.from_arrays([[1.0, 1.0]], [0.0])
         tape = ad.Tape()
-        out = layer(_node(tape, [2.0, 3.0]))
-        np.testing.assert_allclose(out.value, [5.0])
+        out = layer(_node(tape, [[2.0, 3.0]]))
+        np.testing.assert_allclose(out.value, [[5.0]])
 
     def test_batch_matches_per_row(self):
         rng = np.random.default_rng(0)
@@ -42,13 +42,20 @@ class TestDenseForward:
         tape = ad.Tape()
         batched = layer(_node(tape, x)).value
         for i in range(4):
-            row = layer(_node(ad.Tape(), x[i])).value
-            np.testing.assert_allclose(batched[i], row)
+            row = layer(_node(ad.Tape(), x[i:i + 1])).value
+            np.testing.assert_allclose(batched[i:i + 1], row)
 
     def test_dimension_mismatch_raises(self):
         layer = ad.DenseLayer(3, 2, np.random.default_rng(0))
         with pytest.raises(ValueError):
             layer(_node(ad.Tape(), [1.0, 2.0]))
+
+    @pytest.mark.parametrize("values", [[1.0, 2.0, 3.0], [[[1.0, 2.0, 3.0]]]],
+                             ids=["vector", "3-d"])
+    def test_non_batch_input_rejected(self, values):
+        layer = ad.DenseLayer(3, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="dense input must be \\(n, 3\\)"):
+            layer(_node(ad.Tape(), values))
 
     def test_nonfinite_init_rejected(self):
         with pytest.raises(ValueError):
@@ -363,17 +370,6 @@ class TestOptimizers:
                 np.testing.assert_array_equal(v_view, v)
         # parameters are updated in place, never rebound
         assert all(p.value is h for p, h in zip(flat, held))
-
-    def test_sgd_step(self):
-        p = ad.Param(np.array([1.0]), "p")
-        opt = ad.SGD([p], lr=0.5)
-        p.grad = np.array([2.0])
-        opt.step()
-        assert p.value[0] == 0.0
-
-    def test_unknown_optimizer_rejected(self):
-        with pytest.raises(ValueError):
-            ad.make_optimizer("rmsprop", [], 0.1)
 
 
 class TestDeterminism:

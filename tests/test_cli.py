@@ -101,12 +101,25 @@ class TestExperimentConfig:
         ({"train_overrides": {"ESP": {"batch_size": 64.0}}},
          "train_overrides\\['ESP'\\]: batch_size must be an integer"),
         ({"out_dir": 5}, "config: out_dir must be a string, got 5"),
-        ({"train": {"optimizer": ["adam"]}}, "train: optimizer must be a string"),
+        ({"train": {"optimizer": ["adam"]}}, "train: unknown keys \\['optimizer'\\]"),
+        ({"train": {"optimizer": "adam"}}, "train: unknown keys \\['optimizer'\\]"),
+        ({"downsample_factor": float("inf")}, "config: downsample_factor must be finite"),
+        ({"downsample_factor": float("nan")}, "config: downsample_factor must be finite"),
+        ({"train": {"learning_rate": float("nan")}}, "train: learning_rate must be finite"),
+        ({"train": {"learning_rate": 10 ** 400}}, "train: learning_rate must be finite"),
+        ({"train_overrides": {"ESP": {"learning_rate": float("inf")}}},
+         "train_overrides\\['ESP'\\]: learning_rate must be finite"),
+        ({"funnel": {"dense_signal": float("nan")}}, "funnel: dense_signal must be finite"),
+        ({"funnel": {"drift_rate": float("nan")}}, "funnel: drift_rate must be finite"),
+        ({"funnel": {"cat_signal": float("inf")}}, "funnel: cat_signal must be finite"),
+        ({"models": ["IP", "IP", "ESMM"]}, "models must be distinct; repeated: \\['IP'\\]"),
     ], ids=["top", "net", "funnel", "train", "override-seed", "overrides-list",
             "section-list", "models-string", "float-int", "string-int", "bool-int",
             "exponent-int", "string-float", "bool-float", "funnel-int", "funnel-null",
             "layer-float", "layer-string", "train-int", "override-int", "out-dir-int",
-            "optimizer-list"])
+            "optimizer-list", "optimizer-adam", "downsample-inf", "downsample-nan",
+            "learning-rate-nan", "learning-rate-huge-int", "override-inf",
+            "dense-signal-nan", "drift-rate-nan", "cat-signal-inf", "models-repeated"])
     def test_unknown_or_malformed_keys_rejected(self, extra, match):
         with pytest.raises(ValueError, match=match):
             tiny_config(**extra)
@@ -184,7 +197,7 @@ class TestRunAblation:
             assert report.norm_scores["ESP"][seed] == pytest.approx(expected, rel=1e-12)
         # the failed cell is empty in the CSV, surviving rows are intact
         paths = cli.emit_report(report, tmp_path, fmt="csv")
-        lines = open(paths[0]).read().splitlines()
+        lines = pathlib.Path(paths[0]).read_text().splitlines()
         assert any(line.startswith("ESP,0,,") for line in lines)
         assert not any(line.startswith("ESP,1,,") for line in lines)
 
@@ -195,7 +208,8 @@ class TestEmitReport:
         report = cli.run_ablation(cfg)
         paths = cli.emit_report(report, tmp_path, fmt="both")
         runs_csv = next(p for p in paths if p.endswith("ablation_runs.csv"))
-        lines = [l for l in open(runs_csv).read().splitlines() if not l.startswith("#")]
+        lines = [l for l in pathlib.Path(runs_csv).read_text().splitlines()
+                 if not l.startswith("#")]
         assert len(lines) == 1 + 2 * 2  # header + models x seeds
 
         # recompute the comparison from emitted per-seed data
@@ -217,10 +231,11 @@ class TestEmitReport:
         report = cli.run_ablation(cfg)
         paths = cli.emit_report(report, tmp_path, fmt="both")
         runs_csv = next(p for p in paths if p.endswith("ablation_runs.csv"))
-        payload = json.load(open(next(p for p in paths if p.endswith(".json"))))
+        payload = json.loads(pathlib.Path(next(p for p in paths if p.endswith(".json")))
+                             .read_text())
         csv_rows = {}
         header = None
-        for line in open(runs_csv).read().splitlines():
+        for line in pathlib.Path(runs_csv).read_text().splitlines():
             if line.startswith("#"):
                 continue
             if header is None:
@@ -238,9 +253,9 @@ class TestEmitReport:
         report = cli.run_ablation(cfg)
         paths = cli.emit_report(report, tmp_path, fmt="csv")
         runs_csv = next(p for p in paths if p.endswith("ablation_runs.csv"))
-        lines = [l for l in open(runs_csv).read().splitlines() if l.startswith("ESP")]
-        header = [l for l in open(runs_csv).read().splitlines()
-                  if l.startswith("model,")][0].split(",")
+        all_lines = pathlib.Path(runs_csv).read_text().splitlines()
+        lines = [l for l in all_lines if l.startswith("ESP")]
+        header = [l for l in all_lines if l.startswith("model,")][0].split(",")
         for line in lines:
             row = dict(zip(header, line.split(",")))
             assert row["ctr_ce"] == ""
@@ -249,7 +264,7 @@ class TestEmitReport:
         cfg = tiny_config(models=["IP"], n_seeds=2)
         report = cli.run_ablation(cfg)
         paths = cli.emit_report(report, tmp_path, fmt="csv")
-        text = open(paths[0]).read()
+        text = pathlib.Path(paths[0]).read_text()
         assert metrics.PERFORMANCE_FORMULA in text
         assert report.config_fingerprint in text
 
@@ -259,7 +274,7 @@ class TestEmitReport:
             cfg = tiny_config(models=["IP", "ESP"], n_seeds=2)
             report = cli.run_ablation(cfg)
             paths = cli.emit_report(report, tmp_path / sub, fmt="both")
-            outputs.append({p.split("/")[-1]: open(p, "rb").read() for p in paths})
+            outputs.append({p.split("/")[-1]: pathlib.Path(p).read_bytes() for p in paths})
         assert outputs[0] == outputs[1]
 
     def test_unwritable_path_raises_with_path_in_message(self, tmp_path):
@@ -277,7 +292,7 @@ class TestRunDrift:
         report = cli.run_drift(cfg, models=("IP",))
         assert report.offsets == (2, 3, 4, 5, 6)
         paths = cli.emit_drift_report(report, tmp_path)
-        stats = [l for l in open(paths[1]).read().splitlines()
+        stats = [l for l in pathlib.Path(paths[1]).read_text().splitlines()
                  if not l.startswith("#")]
         header = stats[0].split(",")
         assert sum(c.startswith("mean_ce_n") for c in header) == 5
@@ -351,9 +366,17 @@ class TestMainCli:
         ({"funnel": {**TINY["funnel"], "base_click_rate": 1}}, []),
         ({"funnel": {**TINY["funnel"], "base_conv_rate": -0.1}}, []),
         ({"funnel": {**TINY["funnel"], "base_click_rate": float("nan")}}, []),
+        ({}, ["--downsample-factor", "inf"]),
+        ({"downsample_factor": float("inf")}, []),
+        ({"train": {**TINY["train"], "learning_rate": float("nan")}}, []),
+        ({"train_overrides": {"ESMM": {"learning_rate": float("inf")}}}, []),
+        ({"funnel": {**TINY["funnel"], "dense_signal": float("nan")}}, []),
+        ({}, ["--models", "IP,IP,ESMM"]),
     ], ids=["no-baseline", "override-key", "override-model", "top-key", "section-key",
             "models-string", "float-int", "string-int", "negative-rows", "click-rate-above-1",
-            "click-rate-0", "click-rate-1", "conv-rate-negative", "click-rate-nan"])
+            "click-rate-0", "click-rate-1", "conv-rate-negative", "click-rate-nan",
+            "downsample-flag-inf", "downsample-inf", "learning-rate-nan", "override-inf",
+            "dense-signal-nan", "models-repeated"])
     def test_bad_ablation_input_exits_two_before_training(
             self, tmp_path, monkeypatch, capsys, extra, flags):
         def no_training(*args):
@@ -429,6 +452,26 @@ class TestMainCli:
         assert len(err) == 1
         assert err[0].startswith("drift run failed: IP seed 0: FloatingPointError: ")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("extra,flags", [
+        ({}, ["--drift-rate", "nan"]),
+        ({"funnel": {**TINY["funnel"], "drift_rate": float("inf")}}, []),
+        ({}, ["--models", "IP,IP"]),
+    ], ids=["drift-rate-flag-nan", "drift-rate-inf", "models-repeated"])
+    def test_bad_drift_input_exits_two_before_training(
+            self, tmp_path, monkeypatch, capsys, extra, flags):
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "_train_one", no_training)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**TINY, **extra}))
+        code = cli.main(["drift", "--config", str(config),
+                         "--out", str(tmp_path / "out"), *flags])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("invalid config: ")
+        assert not (tmp_path / "out").exists()
 
     def test_drift_insufficient_days_exit_two(self, tmp_path):
         config = tmp_path / "cfg.json"

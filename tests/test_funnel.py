@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funnellab import funnel as fd
 from funnellab import metrics
@@ -400,14 +402,6 @@ class TestDatasetIo:
         with pytest.raises(ValueError):
             fd.Dataset.concat([a, b])
 
-    def test_example_view(self):
-        ds = fd.generate_day(_toy_config(), 0, 10, seed=10)
-        ex = ds.example(3)
-        np.testing.assert_array_equal(ex.dense_features, ds.dense[3])
-        assert ex.click in (0, 1)
-        assert ex.weight == 1.0
-        assert ex.day == 0
-
     def test_inconsistent_labels_rejected(self):
         with pytest.raises(ValueError):
             fd.Dataset(np.zeros((1, 1)), np.zeros((1, 0), dtype=int),
@@ -454,3 +448,74 @@ class TestDatasetIo:
         path.write_text("\n".join(lines[:3] + [",".join(row)] + lines[4:]) + "\n")
         with pytest.raises(ValueError, match=match):
             fd.dataset_from_file(path)
+
+
+# One drawn row: (click, conversion if clicked, weight, feature, category, day).
+_ROW = st.tuples(st.integers(0, 1), st.integers(0, 1), st.floats(0.0, 1e6),
+                 st.floats(-1e3, 1e3), st.integers(0, 7), st.integers(0, 2))
+
+
+@st.composite
+def _datasets(draw, max_rows=40):
+    """A Dataset whose first dense column is each row's index, so a row can
+    be traced through any reordering or selection."""
+    rows = draw(st.lists(_ROW, max_size=max_rows))
+    n = len(rows)
+    click, conv, weight, feature, cat, day = np.array(rows, dtype=np.float64).reshape(n, 6).T
+    return fd.Dataset(np.column_stack([np.arange(n), feature]), cat.reshape(n, 1),
+                      click, click * conv, weight, day, "fp", "drawn")
+
+
+def _assert_funnel_invariants(ds):
+    assert np.isin(ds.click, (0, 1)).all() and np.isin(ds.conversion, (0, 1)).all()
+    assert np.all(ds.conversion <= ds.click)
+    assert np.all(np.isfinite(ds.weight)) and np.all(ds.weight >= 0)
+
+
+def _rows(ds):
+    """Every row as one tuple, in dataset order."""
+    return list(zip(map(tuple, ds.dense), map(tuple, ds.cats), ds.click,
+                    ds.conversion, ds.weight, ds.day))
+
+
+class TestDatasetProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_subset(self, data):
+        ds = data.draw(_datasets())
+        index = data.draw(st.lists(st.integers(0, max(len(ds) - 1, 0)),
+                                   max_size=2 * len(ds)))
+        out = ds.subset(np.asarray(index, dtype=np.int64))
+        _assert_funnel_invariants(out)
+        assert _rows(out) == [_rows(ds)[i] for i in index]
+
+    @settings(max_examples=60, deadline=None)
+    @given(parts=st.lists(_datasets(max_rows=15), min_size=1, max_size=4))
+    def test_concat(self, parts):
+        out = fd.Dataset.concat(parts)
+        _assert_funnel_invariants(out)
+        assert _rows(out) == [row for ds in parts for row in _rows(ds)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(ds=_datasets(), f=st.floats(1.0, 1e3), seed=st.integers(0, 2**32 - 1))
+    def test_downsample_negatives(self, ds, f, seed):
+        """Every clicked row survives with its weight unchanged; a kept
+        unclicked row is the source row with its weight times f."""
+        out = fd.downsample_negatives(ds, f, seed)
+        _assert_funnel_invariants(out)
+        assert _rows(out.clicked()) == _rows(ds.clicked())
+        source = out.dense[:, 0].astype(np.int64)
+        assert np.all(np.diff(source) > 0)
+        unclicked = out.click == 0
+        np.testing.assert_array_equal(out.weight[unclicked],
+                                      ds.weight[source[unclicked]] * f)
+        np.testing.assert_array_equal(out.weight[~unclicked], ds.weight[source[~unclicked]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(ds=_datasets(), seed=st.integers(0, 2**32 - 1))
+    def test_shuffle_preserves_rows(self, ds, seed):
+        out = fd.shuffle(ds, seed)
+        _assert_funnel_invariants(out)
+        source = out.dense[:, 0].astype(np.int64)
+        assert sorted(source) == list(range(len(ds)))
+        assert _rows(out) == [_rows(ds)[i] for i in source]
