@@ -4,7 +4,8 @@ checks, and oracle self-tests, behind a ``funnellab`` command line.
 Runs are paired by seed: every model trains on byte-identical datasets for a
 given seed, which removes dataset noise from the comparison. Reports are
 pure functions of the experiment config, so reruns produce byte-identical
-CSV output.
+CSV output. Seeds run in parallel on forked workers when BLAS leaves cores
+idle (``_map_seeds``); the reports are the same either way.
 
 Exit codes: 0 success, 1 run or check failure, 2 invalid config.
 """
@@ -12,6 +13,7 @@ Exit codes: 0 success, 1 run or check failure, 2 invalid config.
 import argparse
 import difflib
 import json
+import os
 import pathlib
 import sys
 import zlib
@@ -236,6 +238,69 @@ def _train_one(cfg, model_name, seed_idx, train_ds, eval_ds):
     return model, history
 
 
+class RunFailed(RuntimeError):
+    """A run that could not finish; the message names its model and seed, or
+    the seeds a dead worker process took with it."""
+
+
+def _blas_threads(cores):
+    """Threads each process's BLAS uses: the first of these variables that
+    holds a positive integer, else one per core, OpenBLAS's default."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return cores
+
+
+def _pool_size(n_seeds):
+    """Seeds to run at once: as many as the cores BLAS leaves idle allow, so
+    that pool size times BLAS threads never exceeds the usable cores."""
+    if not hasattr(os, "sched_getaffinity"):  # macOS, Windows: run serially
+        return 1
+    cores = len(os.sched_getaffinity(0))
+    return max(1, min(n_seeds, cores // _blas_threads(cores)))
+
+
+def _map_seeds(fn, cfg, *args):
+    """``[fn(cfg, seed, *args) for seed in range(cfg.n_seeds)]``, on a process
+    pool when the cores allow more than one seed at a time (``_pool_size``).
+
+    Workers are forked, so each starts from this process's modules in their
+    current state and from its BLAS set-up, and computes the same bits as
+    the serial path. Results come back in seed order. The first failure in
+    seed order is raised as it would be serially, after pending seeds are
+    cancelled; a worker that dies raises ``RunFailed`` naming the seeds that
+    were lost. Every worker is joined before this returns or raises.
+    """
+    jobs = _pool_size(cfg.n_seeds)
+    if jobs == 1:
+        return [fn(cfg, seed_idx, *args) for seed_idx in range(cfg.n_seeds)]
+    # Imported here: only a pooled run pays for them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(fn, cfg, seed_idx, *args) for seed_idx in range(cfg.n_seeds)]
+        results = []
+        for future in futures:
+            try:
+                results.append(future.result())
+            except BrokenProcessPool:
+                lost = [seed_idx for seed_idx, f in enumerate(futures)
+                        if isinstance(f.exception(), BrokenProcessPool)]
+                raise RunFailed("a worker process died; lost seeds "
+                                + ", ".join(map(str, lost))) from None
+        return results
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 @dataclass
 class AblationReport:
     config_fingerprint: str
@@ -255,29 +320,41 @@ class AblationReport:
         return bool(self.errors) or self.stats is None
 
 
+def _ablation_seed(cfg, seed_idx):
+    """Train every selected model on one seed's data; a failed run is
+    recorded, not raised. Returns (records, errors, extras, log lines)."""
+    records, errors, extras, lines = {}, {}, {}, []
+    train_ds, eval_ds = _seed_datasets(cfg, seed_idx)
+    for model_name in cfg.models:
+        try:
+            model, history = _train_one(cfg, model_name, seed_idx, train_ds, eval_ds)
+            record = history.eval_metrics[-1]
+            records[(model_name, seed_idx)] = record
+            preds = model.predict_dataset(eval_ds)
+            extras[(model_name, seed_idx)] = {
+                "ctr_calibration": (
+                    metrics.calibration_ratio(preds["ctr"], eval_ds.click, eval_ds.weight)
+                    if "ctr" in preds else None),
+            }
+            lines.append(f"seed {seed_idx} {model_name}: joint_ce={record.joint_ce:.6f}")
+        except Exception as exc:  # noqa: BLE001 - failed runs are reported, not fatal
+            records[(model_name, seed_idx)] = None
+            errors[(model_name, seed_idx)] = f"{type(exc).__name__}: {exc}"
+            lines.append(f"seed {seed_idx} {model_name}: FAILED ({exc})")
+    return records, errors, extras, lines
+
+
 def run_ablation(cfg, log=None):
     """Train every selected model on identical per-seed data; compare to baseline."""
     cfg.check_baseline()
     log = log or (lambda msg: None)
     records, errors, extras = {}, {}, {}
-    for seed_idx in range(cfg.n_seeds):
-        train_ds, eval_ds = _seed_datasets(cfg, seed_idx)
-        for model_name in cfg.models:
-            try:
-                model, history = _train_one(cfg, model_name, seed_idx, train_ds, eval_ds)
-                record = history.eval_metrics[-1]
-                records[(model_name, seed_idx)] = record
-                preds = model.predict_dataset(eval_ds)
-                extras[(model_name, seed_idx)] = {
-                    "ctr_calibration": (
-                        metrics.calibration_ratio(preds["ctr"], eval_ds.click, eval_ds.weight)
-                        if "ctr" in preds else None),
-                }
-                log(f"seed {seed_idx} {model_name}: joint_ce={record.joint_ce:.6f}")
-            except Exception as exc:  # noqa: BLE001 - failed runs are reported, not fatal
-                records[(model_name, seed_idx)] = None
-                errors[(model_name, seed_idx)] = f"{type(exc).__name__}: {exc}"
-                log(f"seed {seed_idx} {model_name}: FAILED ({exc})")
+    for seed_records, seed_errors, seed_extras, lines in _map_seeds(_ablation_seed, cfg):
+        records.update(seed_records)
+        errors.update(seed_errors)
+        extras.update(seed_extras)
+        for line in lines:
+            log(line)
     surviving = {
         name: [s for s in range(cfg.n_seeds) if records[(name, s)] is not None]
         for name in cfg.models
@@ -395,10 +472,6 @@ def emit_report(report, out_dir, fmt="csv"):
     return written
 
 
-class RunFailed(RuntimeError):
-    """A (model, seed) run that could not finish; the message names it."""
-
-
 @dataclass
 class DriftReport:
     config_fingerprint: str
@@ -408,6 +481,36 @@ class DriftReport:
     ces: dict          # (model, seed, offset) -> joint CE
     means: dict        # model -> {offset: mean}
     sems: dict         # model -> {offset: sem}
+
+
+def _drift_seed(cfg, seed_idx, models):
+    """Train each model on one seed's data and score it on every offset day.
+    Returns ((model, seed, offset) -> joint CE, log lines)."""
+    train_ds, _ = _seed_datasets(cfg, seed_idx)
+    _, _, _, eval_seed = _seed_bundle(cfg.base_seed, seed_idx)
+    eval_days = {
+        offset: fd.generate_day(cfg.funnel, cfg.train_days - 1 + offset,
+                                cfg.n_eval, eval_seed)
+        for offset in DRIFT_OFFSETS
+    }
+    guard_eval = eval_days[DRIFT_OFFSETS[0]]
+    ces, lines = {}, []
+    for model_name in models:
+        try:
+            model, history = _train_one(cfg, model_name, seed_idx, train_ds, guard_eval)
+            for offset, ds in eval_days.items():
+                if ds is guard_eval and history.eval_metrics:
+                    ce = history.eval_metrics[-1].joint_ce
+                else:
+                    ce = tr.evaluate(model, ds).joint_ce
+                ces[(model_name, seed_idx, offset)] = ce
+        except Exception as exc:  # noqa: BLE001 - every offset needs every run
+            raise RunFailed(f"{model_name} seed {seed_idx}: "
+                            f"{type(exc).__name__}: {exc}") from exc
+        lines.append(f"seed {seed_idx} {model_name}: "
+                     + " ".join(f"n{o}={ces[(model_name, seed_idx, o)]:.5f}"
+                                for o in DRIFT_OFFSETS))
+    return ces, lines
 
 
 def run_drift(cfg, models=("IP", "ESMM"), log=None):
@@ -427,30 +530,10 @@ def run_drift(cfg, models=("IP", "ESMM"), log=None):
     log = log or (lambda msg: None)
     models = list(models)
     ces = {}
-    for seed_idx in range(cfg.n_seeds):
-        train_ds, _ = _seed_datasets(cfg, seed_idx)
-        _, _, _, eval_seed = _seed_bundle(cfg.base_seed, seed_idx)
-        eval_days = {
-            offset: fd.generate_day(cfg.funnel, cfg.train_days - 1 + offset,
-                                    cfg.n_eval, eval_seed)
-            for offset in DRIFT_OFFSETS
-        }
-        guard_eval = eval_days[DRIFT_OFFSETS[0]]
-        for model_name in models:
-            try:
-                model, history = _train_one(cfg, model_name, seed_idx, train_ds, guard_eval)
-                for offset, ds in eval_days.items():
-                    if ds is guard_eval and history.eval_metrics:
-                        ce = history.eval_metrics[-1].joint_ce
-                    else:
-                        ce = tr.evaluate(model, ds).joint_ce
-                    ces[(model_name, seed_idx, offset)] = ce
-            except Exception as exc:  # noqa: BLE001 - every offset needs every run
-                raise RunFailed(f"{model_name} seed {seed_idx}: "
-                                f"{type(exc).__name__}: {exc}") from exc
-            log(f"seed {seed_idx} {model_name}: "
-                + " ".join(f"n{o}={ces[(model_name, seed_idx, o)]:.5f}"
-                           for o in DRIFT_OFFSETS))
+    for seed_ces, lines in _map_seeds(_drift_seed, cfg, models):
+        ces.update(seed_ces)
+        for line in lines:
+            log(line)
     means, sems = {}, {}
     for name in models:
         means[name], sems[name] = {}, {}
@@ -666,7 +749,11 @@ def main(argv=None):
         return 2
 
     if args.command == "ablation":
-        report = run_ablation(cfg, log=print)
+        try:
+            report = run_ablation(cfg, log=print)
+        except RunFailed as exc:
+            print(f"ablation run failed: {exc}", file=sys.stderr)
+            return 1
         paths = emit_report(report, cfg.out_dir, fmt=args.format)
         for path in paths:
             print(f"wrote {path}")

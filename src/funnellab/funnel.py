@@ -18,6 +18,7 @@ after creation, so concurrent generation is safe.
 
 import hashlib
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -359,8 +360,8 @@ def downsample_negatives(ds, f, seed):
     is never consulted. Membership is an independent Bernoulli per example
     rather than an exact-count draw: simpler and unbiased.
     """
-    if f < 1:
-        raise ValueError(f"downsample factor must be >= 1, got {f}")
+    if not 1 <= f < math.inf:  # also false for NaN
+        raise ValueError(f"downsample factor must be finite and >= 1, got {f}")
     rng = np.random.default_rng(seed)
     u = rng.random(len(ds))
     keep = (ds.click == 1) | (u < 1.0 / f)

@@ -15,6 +15,7 @@ concurrently since each owns its model, tape, and RNG. Evaluation always
 sits strictly in the future of the training days.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs < 0:
+        if (not 0 < self.learning_rate < math.inf  # also false for NaN
+                or self.batch_size <= 0 or self.epochs < 0):
             raise ValueError(f"invalid training config: {self}")
 
 

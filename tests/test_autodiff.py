@@ -7,6 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funnellab import autodiff as ad
 from funnellab import models as md
@@ -449,3 +451,99 @@ class TestEmbeddingTable:
         emb = ad.EmbeddingTable(4, 2, np.random.default_rng(1))
         with pytest.raises(ValueError):
             emb.lookup(ad.Tape(), np.array([4]))
+
+
+def _leaf(rng, shape, low=-2.0, high=2.0):
+    return ad.Param(rng.uniform(low, high, shape))
+
+
+def _dense_case(rng, n, m, k):
+    x = _leaf(rng, (n, m))
+    layer = ad.DenseLayer.from_arrays(rng.uniform(-1, 1, (k, m)), rng.uniform(-1, 1, k))
+    return [x, *layer.params()], lambda tape: ad.dense_forward(layer, tape.watch(x))
+
+
+def _relu_case(rng, n, m, k):
+    # at least 0.1 from zero, so no finite difference straddles the kink
+    x = ad.Param(rng.choice([-1.0, 1.0], (n, m)) * rng.uniform(0.1, 2.0, (n, m)))
+    return [x], lambda tape: ad.relu(tape.watch(x))
+
+
+def _sigmoid_case(rng, n, m, k):
+    x = _leaf(rng, (n, m), -4.0, 4.0)
+    return [x], lambda tape: ad.sigmoid(tape.watch(x))
+
+
+def _binary_case(op):
+    def case(rng, n, m, k):
+        a, b = _leaf(rng, (n, m)), _leaf(rng, (n, m))
+        if k == 1:  # one node as both operands: its two contributions must add up
+            return [a], lambda tape: op(tape.watch(a), tape.watch(a))
+        return [a, b], lambda tape: op(tape.watch(a), tape.watch(b))
+    return case
+
+
+def _scale_case(rng, n, m, k):
+    x, c = _leaf(rng, (n, m)), rng.uniform(-3.0, 3.0)
+    return [x], lambda tape: ad.scale(tape.watch(x), c)
+
+
+def _reshape_case(rng, n, m, k):
+    x = _leaf(rng, (n, m))
+    return [x], lambda tape: ad.reshape(tape.watch(x), (m, n))
+
+
+def _vsum_case(rng, n, m, k):
+    x = _leaf(rng, (n, m))
+    return [x], lambda tape: ad.vsum(tape.watch(x))
+
+
+def _concat_case(rng, n, m, k):
+    parts = [_leaf(rng, (n, width)) for width in (m, k, 1)]
+    return parts, lambda tape: ad.concat([tape.watch(p) for p in parts])
+
+
+def _embed_case(rng, n, m, k):
+    table = ad.EmbeddingTable(k, m, rng)
+    indices = rng.integers(0, k, n + k)  # more lookups than rows: some repeat
+    return table.params(), lambda tape: table.lookup(tape, indices)
+
+
+def _weighted_bce_case(rng, n, m, k):
+    # inside the clamp interval, where the loss is differentiable
+    pred = _leaf(rng, (n,), 0.05, 0.95)
+    labels = rng.integers(0, 2, n).astype(np.float64)
+    weights = rng.uniform(0.0, 3.0, n)
+    return [pred], lambda tape: ad.weighted_bce(tape.watch(pred), labels, weights)
+
+
+OP_CASES = {
+    "dense": _dense_case, "relu": _relu_case, "sigmoid": _sigmoid_case,
+    "multiply": _binary_case(ad.multiply), "add": _binary_case(ad.add),
+    "scale": _scale_case, "reshape": _reshape_case, "vsum": _vsum_case,
+    "concat": _concat_case, "embed": _embed_case, "weighted_bce": _weighted_bce_case,
+}
+
+
+class TestOpGradientProperties:
+    @pytest.mark.parametrize("case", OP_CASES.values(), ids=OP_CASES.keys())
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(*[st.integers(1, 5)] * 3), seed=st.integers(0, 2**32 - 1))
+    def test_gradient_matches_finite_differences(self, case, dims, seed):
+        """Every op's reverse-mode gradient equals central differences, at
+        gradient_check's default tolerance, on random shapes and values."""
+        rng = np.random.default_rng(seed)
+        params, forward = case(rng, *dims)
+        probe = forward(ad.Tape())
+        probe.tape.release()
+        # a scalar that weighs every output entry differently
+        weights = rng.standard_normal(probe.value.shape)
+
+        def loss_fn():
+            out = forward(ad.Tape())
+            if out.value.ndim == 0:
+                return out
+            return ad.vsum(ad.multiply(out, out.tape.constant(weights)))
+
+        result = ad.gradient_check(loss_fn, params)
+        assert result["passed"], result

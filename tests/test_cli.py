@@ -2,6 +2,7 @@
 drift report shape, gradcheck wiring, CLI exit codes."""
 
 import json
+import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -482,12 +483,124 @@ class TestMainCli:
 
 def test_setup_never_imports_scipy_stats():
     """The Welch test needs only scipy.special; scipy.stats costs most of a
-    second to import, so set-up must not load it."""
+    second to import, so set-up must not load it. Nor does set-up load the
+    seed pool's modules: only a pooled run pays for them."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, funnellab.cli; funnellab.cli.config_from_dict({}); "
-            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.split() == ["False", "True"]
+            "print(*(m in sys.modules for m in sys.argv[1:]))")
+    # scipy.special already loads concurrent.futures itself (through
+    # numpy.testing), so the guard names the pool's own module
+    modules = ["scipy.stats", "scipy.special", "multiprocessing", "concurrent.futures.process"]
+    out = subprocess.run([sys.executable, "-c", code, *modules], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "True", "False", "False"]
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two usable cores; with no BLAS thread variable (see conftest.py) BLAS
+    takes both, so seeds run serially until a test sets a variable."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+class TestSeedPool:
+    @pytest.mark.parametrize("env,cores,n_seeds,jobs", [
+        ({}, 2, 10, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 10, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1, 1),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 10, 1),
+        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 2, 10, 2),
+        ({"MKL_NUM_THREADS": "2"}, 8, 10, 4),
+        ({"OMP_NUM_THREADS": "16"}, 8, 10, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 3, 3),
+    ], ids=["default", "one-thread", "one-seed", "openblas-first", "invalid-skipped",
+            "mkl", "oversubscribed", "capped-by-seeds"])
+    def test_pool_size(self, monkeypatch, env, cores, n_seeds, jobs):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert cli._pool_size(n_seeds) == jobs
+
+    @staticmethod
+    def _main(argv, capsys):
+        code = cli.main(argv)
+        assert not multiprocessing.active_children()
+        out, err = capsys.readouterr()
+        return code, [l for l in out.splitlines() if not l.startswith("wrote ")], err
+
+    @staticmethod
+    def _train_only_in_workers(monkeypatch):
+        parent, real = os.getpid(), cli._train_one
+
+        def train_one(*args):
+            if os.getpid() == parent:
+                raise AssertionError("a pooled run trained in the parent process")
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_train_one", train_one)
+
+    @pytest.mark.parametrize("command,models", [
+        ("ablation", "IP,ESMM,ESP"), ("drift", "IP,ESMM")])
+    def test_pool_reports_equal_serial_reports(self, tmp_path, capsys, monkeypatch,
+                                               two_cores, command, models):
+        """Three seeds on two workers give the serial run's report files
+        byte for byte, and its log lines in the same order."""
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**TINY, "n_seeds": 3}))
+        argv = [command, "--config", str(config), "--models", models]
+        serial = self._main(argv + ["--out", str(tmp_path / "serial")], capsys)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert cli._pool_size(3) == 2
+        self._train_only_in_workers(monkeypatch)
+        pooled = self._main(argv + ["--out", str(tmp_path / "pooled")], capsys)
+        assert serial[0] == 0 and pooled == serial
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "pooled").iterdir())
+        for name in names:
+            assert ((tmp_path / "pooled" / name).read_bytes()
+                    == (tmp_path / "serial" / name).read_bytes()), name
+
+    def test_pooled_drift_failure_names_the_run(self, tmp_path, capsys, monkeypatch,
+                                                two_cores):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            **TINY, "n_seeds": 3, "models": ["ESMM", "IP"],
+            "train_overrides": {"IP": {"learning_rate": 1e300}}}))
+        argv = ["drift", "--config", str(config), "--out", str(tmp_path / "drift")]
+        serial = self._main(argv, capsys)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        pooled = self._main(argv, capsys)
+        assert pooled[0] == serial[0] == 1
+        assert pooled[2] == serial[2]
+        assert pooled[2].startswith("drift run failed: IP seed 0: FloatingPointError: ")
+        assert len(pooled[2].splitlines()) == 1
+        assert not (tmp_path / "drift").exists()
+
+    @pytest.mark.parametrize("command", ["ablation", "drift"])
+    def test_dead_worker_names_lost_seeds_and_exits_one(self, tmp_path, capsys,
+                                                        monkeypatch, two_cores, command):
+        """A worker killed mid-run (as by the OOM killer) is one line and
+        exit 1, not a traceback."""
+        parent, real = os.getpid(), cli._seed_datasets
+
+        def seed_datasets(cfg, seed_idx):
+            if seed_idx == 1 and os.getpid() != parent:
+                os._exit(3)
+            return real(cfg, seed_idx)
+
+        monkeypatch.setattr(cli, "_seed_datasets", seed_datasets)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**TINY, "n_seeds": 3, "models": ["IP"]}))
+        code, _, err = self._main([command, "--config", str(config),
+                                   "--out", str(tmp_path / "out")], capsys)
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        prefix = f"{command} run failed: a worker process died; lost seeds "
+        assert lines[0].startswith(prefix)
+        assert "1" in lines[0][len(prefix):].split(", ")
+        assert not (tmp_path / "out").exists()

@@ -247,6 +247,12 @@ class TestDownsampleNegatives:
         with pytest.raises(ValueError):
             fd.downsample_negatives(ds, 0.5, seed=3)
 
+    @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf])
+    def test_non_finite_f_rejected(self, f):
+        ds = fd.generate_day(_toy_config(), 0, 10, seed=2)
+        with pytest.raises(ValueError, match="finite"):
+            fd.downsample_negatives(ds, f, seed=3)
+
     def test_binomial_oracle_on_1e6_negatives(self):
         n = 1_000_000
         ds = fd.Dataset(np.zeros((n, 1)), np.zeros((n, 0), dtype=int),

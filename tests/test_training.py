@@ -102,6 +102,11 @@ class TestTrainContract:
         with pytest.raises(ValueError):
             tr.TrainConfig(learning_rate=-1.0)
 
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf])
+    def test_non_finite_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="invalid training config"):
+            tr.TrainConfig(learning_rate=lr)
+
     def test_ip_cvr_tower_sees_only_clicked_examples(self):
         """Unclicked conversions cannot exist; IP's conversion tower trains on
         the clicked subset, so click-flipping unclicked rows must not change it."""
