@@ -25,10 +25,15 @@ import numpy as np
 # Predictions are clamped into [CLAMP_EPS, 1 - CLAMP_EPS] before any log.
 CLAMP_EPS = 1e-7
 
-# Default Adam hyperparameters.
+# Adam hyperparameters.
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# gradient_check's tolerances; its docstring says how they apply.
+GRADCHECK_REL_TOL = 1e-4
+GRADCHECK_ABS_TOL = 1e-7
+GRADCHECK_SMALL_GRAD = 1e-4
 
 
 class Node:
@@ -79,9 +84,9 @@ class Tape:
         self.nodes.append(node)
         return node
 
-    def constant(self, value, op="const"):
+    def constant(self, value):
         """A leaf node whose gradient is tracked but feeds nothing."""
-        return self._record(value, (), op, None)
+        return self._record(value, (), "const", None)
 
     def watch(self, param):
         """Bind a Param as a leaf node; repeat calls return the same node."""
@@ -139,10 +144,6 @@ def _accumulate(node, grad):
         node.grad += grad
 
 
-def _as_node(tape, x):
-    return x if isinstance(x, Node) else tape.constant(x)
-
-
 def relu(x):
     """Elementwise max(0, v); the subgradient at 0 is 0."""
     def backward_fn(out_grad):
@@ -152,17 +153,20 @@ def relu(x):
 
 
 def _stable_sigmoid_values(v):
-    # exp(-|v|) never overflows; the two branches cover both signs exactly.
-    e = np.exp(-np.abs(v))
-    out = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    # Keep the open interval (0, 1): the true sigmoid never reaches either end,
-    # so round saturated outputs to the nearest representable interior double.
-    return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    """1 / (1 + e) where v >= 0 and e / (1 + e) elsewhere, with e = exp(-|v|)
+    (no overflow), in one buffer; a 0-d v gives a 0-d array."""
+    e = np.exp(-np.abs(v), out=np.empty(np.shape(v)))
+    d = 1.0 + e
+    np.divide(e, d, out=e)
+    return np.divide(1.0, d, out=e, where=v >= 0)
 
 
 def sigmoid(x):
     """Numerically stable logistic function; output stays inside (0, 1)."""
-    value = _stable_sigmoid_values(x.value)
+    # The true sigmoid never reaches either end of (0, 1), so round saturated
+    # outputs to the nearest representable interior double.
+    value = np.clip(_stable_sigmoid_values(x.value),
+                    np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
     def backward_fn(out_grad):
         _accumulate(x, out_grad * value * (1.0 - value))
@@ -363,12 +367,9 @@ class Adam:
     callers holding a ``Param.value`` keep seeing the live weights.
     """
 
-    def __init__(self, params, lr, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         n = sum(p.value.size for p in self.params)
         self._grad = np.empty(n)
@@ -397,38 +398,38 @@ class Adam:
             raise FloatingPointError(
                 f"non-finite gradient for {bad.name!r}: training diverged")
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         m, v, step, denom = self._m_flat, self._v_flat, self._step, self._denom
         # lr * (m / bc1) / (sqrt(v / bc2) + eps), the same operations as the
         # per-parameter form, computed into the preallocated buffers.
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=step)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=step)
         m += step
-        v *= self.beta2
+        v *= ADAM_BETA2
         np.multiply(g, g, out=step)
-        step *= 1.0 - self.beta2
+        step *= 1.0 - ADAM_BETA2
         v += step
         np.divide(m, bc1, out=step)
         step *= self.lr
         np.divide(v, bc2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += ADAM_EPS
         step /= denom
         for param, param_step in zip(self.params, self._steps):
             param.value -= param_step
 
 
-def gradient_check(loss_fn, params, h=1e-5, rel_tol=1e-4, abs_tol=1e-7,
-                   small_grad=1e-4, max_coords_per_param=None, rng=None):
+def gradient_check(loss_fn, params, h=1e-5, max_coords_per_param=None, rng=None):
     """Compare reverse-mode gradients against central finite differences.
 
     ``loss_fn`` rebuilds the forward pass and returns a scalar root node.
-    Each checked coordinate must satisfy |analytic - fd| <= rel_tol *
-    max(|analytic|, |fd|), or |analytic - fd| <= abs_tol when the analytic
-    gradient's magnitude is below ``small_grad``. Returns a dict with the
-    worst relative/absolute errors and a pass flag.
+    Each checked coordinate must satisfy |analytic - fd| <= GRADCHECK_REL_TOL
+    * max(|analytic|, |fd|), or |analytic - fd| <= GRADCHECK_ABS_TOL when the
+    analytic gradient's magnitude is below GRADCHECK_SMALL_GRAD. Returns a
+    dict with the worst relative/absolute errors and a pass flag.
     """
+    rng = np.random.default_rng(0) if rng is None else rng
     root = loss_fn()
     root.tape.backward(root)
     analytic = [np.array(p.grad, copy=True) for p in params]
@@ -445,8 +446,6 @@ def gradient_check(loss_fn, params, h=1e-5, rel_tol=1e-4, abs_tol=1e-7,
         flat = param.value.reshape(-1)
         coords = np.arange(flat.size)
         if max_coords_per_param is not None and flat.size > max_coords_per_param:
-            if rng is None:
-                rng = np.random.default_rng(0)
             coords = rng.choice(flat.size, size=max_coords_per_param, replace=False)
         for idx in coords:
             orig = flat[idx]
@@ -460,13 +459,13 @@ def gradient_check(loss_fn, params, h=1e-5, rel_tol=1e-4, abs_tol=1e-7,
             err = abs(a - fd)
             denom = max(abs(a), abs(fd))
             worst_abs = max(worst_abs, err)
-            if abs(a) < small_grad:
-                if err > abs_tol:
+            if abs(a) < GRADCHECK_SMALL_GRAD:
+                if err > GRADCHECK_ABS_TOL:
                     ok = False
-                worst_rel = max(worst_rel, err / max(denom, small_grad))
+                worst_rel = max(worst_rel, err / max(denom, GRADCHECK_SMALL_GRAD))
             else:
                 rel = err / denom
                 worst_rel = max(worst_rel, rel)
-                if rel > rel_tol:
+                if rel > GRADCHECK_REL_TOL:
                     ok = False
     return {"passed": ok, "max_rel_err": worst_rel, "max_abs_err": worst_abs}

@@ -218,24 +218,32 @@ def _model_init_seed(base_seed, seed_idx, model_name):
     return int(np.random.SeedSequence([base_seed, seed_idx, tag]).generate_state(1)[0])
 
 
-def _seed_datasets(cfg, seed_idx):
-    """Train (downsampled, shuffled) and full-space eval data for one seed."""
-    data_seed, down_seed, shuffle_seed, eval_seed = _seed_bundle(cfg.base_seed, seed_idx)
+def _train_dataset(cfg, seed_idx):
+    """One seed's training days, negatives downsampled, then shuffled."""
+    data_seed, down_seed, shuffle_seed, _ = _seed_bundle(cfg.base_seed, seed_idx)
     days = [fd.generate_day(cfg.funnel, day, cfg.n_train_per_day, data_seed)
             for day in range(cfg.train_days)]
     train_ds = fd.Dataset.concat(days)
     train_ds = fd.downsample_negatives(train_ds, cfg.downsample_factor, down_seed)
-    train_ds = fd.shuffle(train_ds, shuffle_seed)
-    eval_ds = fd.generate_day(cfg.funnel, cfg.eval_day, cfg.n_eval, eval_seed)
-    return train_ds, eval_ds
+    return fd.shuffle(train_ds, shuffle_seed)
+
+
+def _eval_dataset(cfg, seed_idx, offset):
+    """One seed's full-space eval data on the ``offset``-th day after training."""
+    eval_seed = _seed_bundle(cfg.base_seed, seed_idx)[3]
+    return fd.generate_day(cfg.funnel, cfg.train_days - 1 + offset, cfg.n_eval, eval_seed)
+
+
+def _seed_datasets(cfg, seed_idx):
+    """Train data and the ablation's eval day for one seed."""
+    return _train_dataset(cfg, seed_idx), _eval_dataset(cfg, seed_idx, 1)
 
 
 def _train_one(cfg, model_name, seed_idx, train_ds, eval_ds):
     model = md.build(model_name, cfg.net,
                      _model_init_seed(cfg.base_seed, seed_idx, model_name))
     run_cfg = replace(cfg.train_config_for(model_name), seed=seed_idx)
-    model, history = tr.train(model, train_ds, eval_ds, run_cfg)
-    return model, history
+    return tr.train(model, train_ds, eval_ds, run_cfg)
 
 
 class RunFailed(RuntimeError):
@@ -328,7 +336,7 @@ def _ablation_seed(cfg, seed_idx):
     for model_name in cfg.models:
         try:
             model, history = _train_one(cfg, model_name, seed_idx, train_ds, eval_ds)
-            record = history.eval_metrics[-1]
+            record = history.metrics
             records[(model_name, seed_idx)] = record
             preds = model.predict_dataset(eval_ds)
             extras[(model_name, seed_idx)] = {
@@ -383,6 +391,22 @@ def run_ablation(cfg, log=None):
     return report
 
 
+def _out_dir(out_dir, create=True):
+    """The report directory as a Path, made with its parents; with ``create``
+    false, only checked that its nearest existing ancestor is a writable one."""
+    out = pathlib.Path(out_dir)
+    try:
+        if create:
+            out.mkdir(parents=True, exist_ok=True)
+        else:
+            nearest = next(p for p in (out, *out.parents) if p.exists())
+            if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):
+                raise OSError(f"{str(nearest)!r} is not a writable directory")
+    except OSError as exc:
+        raise OSError(f"cannot create output directory {out_dir!r}: {exc}") from exc
+    return out
+
+
 RUN_COLUMNS = ("joint_ce", "joint_pr_auc", "calibration_ratio", "ctr_ce", "norm_perf")
 
 
@@ -399,11 +423,7 @@ def emit_report(report, out_dir, fmt="csv"):
     per-run rows are always written (a failed run's JSON row carries its
     error); when no stats could be computed, the stats output says why.
     """
-    out = pathlib.Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create output directory {out_dir!r}: {exc}") from exc
+    out = _out_dir(out_dir)
     if fmt not in ("csv", "json", "both"):
         raise ValueError(f"format must be csv, json or both, got {fmt!r}")
     written = []
@@ -486,24 +506,16 @@ class DriftReport:
 def _drift_seed(cfg, seed_idx, models):
     """Train each model on one seed's data and score it on every offset day.
     Returns ((model, seed, offset) -> joint CE, log lines)."""
-    train_ds, _ = _seed_datasets(cfg, seed_idx)
-    _, _, _, eval_seed = _seed_bundle(cfg.base_seed, seed_idx)
-    eval_days = {
-        offset: fd.generate_day(cfg.funnel, cfg.train_days - 1 + offset,
-                                cfg.n_eval, eval_seed)
-        for offset in DRIFT_OFFSETS
-    }
+    train_ds = _train_dataset(cfg, seed_idx)
+    eval_days = {offset: _eval_dataset(cfg, seed_idx, offset) for offset in DRIFT_OFFSETS}
     guard_eval = eval_days[DRIFT_OFFSETS[0]]
     ces, lines = {}, []
     for model_name in models:
         try:
             model, history = _train_one(cfg, model_name, seed_idx, train_ds, guard_eval)
             for offset, ds in eval_days.items():
-                if ds is guard_eval and history.eval_metrics:
-                    ce = history.eval_metrics[-1].joint_ce
-                else:
-                    ce = tr.evaluate(model, ds).joint_ce
-                ces[(model_name, seed_idx, offset)] = ce
+                record = history.metrics if ds is guard_eval else tr.evaluate(model, ds)
+                ces[(model_name, seed_idx, offset)] = record.joint_ce
         except Exception as exc:  # noqa: BLE001 - every offset needs every run
             raise RunFailed(f"{model_name} seed {seed_idx}: "
                             f"{type(exc).__name__}: {exc}") from exc
@@ -518,10 +530,9 @@ def run_drift(cfg, models=("IP", "ESMM"), log=None):
 
     Offset n means the n-th day after the end of training; the ablation's
     standard eval day is offset 1, so decay is measured at offsets 2..6.
-    Training evaluates on the offset-2 day after its last epoch, so that
-    score is reused rather than computed twice. A run that fails raises
-    ``RunFailed`` naming its model and seed: the per-offset means need
-    every run.
+    Training scores each model on the offset-2 day, and that score is
+    reused. A run that fails raises ``RunFailed`` naming its model and
+    seed: the per-offset means need every run.
     """
     needed = cfg.train_days + DRIFT_OFFSETS[-1]
     if cfg.funnel.n_days < needed:
@@ -546,8 +557,7 @@ def run_drift(cfg, models=("IP", "ESMM"), log=None):
 
 
 def emit_drift_report(report, out_dir):
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     runs_path = out / "drift_runs.csv"
     lines = [f"# funnel_config_fingerprint = {report.config_fingerprint}",
              "model,seed,offset,joint_ce"]
@@ -744,6 +754,8 @@ def main(argv=None):
         cfg, models_explicit = _load_config(args)
         if args.command == "ablation":
             cfg.check_baseline()
+        if args.command in ("ablation", "drift"):
+            _out_dir(cfg.out_dir, create=False)  # fail before training, not after
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2

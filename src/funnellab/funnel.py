@@ -24,9 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
+from .autodiff import _stable_sigmoid_values as _sigmoid
 
 _DRIFT_TAG = 0x5EED
 _INTERCEPT_SAMPLE = 200_000
+_BISECT_MAX_STEPS = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,15 +98,15 @@ def _correlated_pair(rng, size, rho, scale):
     return scale * a_hat, scale * c_hat
 
 
-def _bisect_intercept(logits_no_intercept, target, weights=None, iters=200):
+def _bisect_intercept(logits_no_intercept, target, weights=None):
     """Intercept whose (weighted) mean sigmoid hits ``target``.
 
     Stops once ``lo`` and ``hi`` are adjacent floats (about 60 steps): from
     there every further step leaves the returned midpoint unchanged, so the
-    result is the one all ``iters`` steps would give.
+    result is the one all ``_BISECT_MAX_STEPS`` steps would give.
     """
     lo, hi = -40.0, 40.0
-    for _ in range(iters):
+    for _ in range(_BISECT_MAX_STEPS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -115,14 +117,6 @@ def _bisect_intercept(logits_no_intercept, target, weights=None, iters=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _sigmoid(v):
-    """1 / (1 + e) where v >= 0 and e / (1 + e) elsewhere, with e = exp(-|v|)."""
-    e = np.exp(-np.abs(v))
-    d = 1.0 + e
-    np.divide(e, d, out=e)
-    return np.divide(1.0, d, out=e, where=v >= 0)
 
 
 def make_funnel_config(dense_dim=16, n_categorical=2, vocab_size=100,

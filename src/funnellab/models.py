@@ -182,9 +182,6 @@ class Model:
     def head_names(self):
         return tuple(self._heads)
 
-    def has_ctr_head(self):
-        return "ctr" in self._heads
-
     def parameters(self):
         out = []
         for stack_name in self._stacks:
@@ -259,7 +256,7 @@ class Model:
         return self._predict_one("joint", dense, cats)
 
     def predict_ctr(self, dense, cats):
-        if not self.has_ctr_head():
+        if "ctr" not in self._heads:
             raise ValueError(f"{self.name} has no CTR head")
         return self._predict_one("ctr", dense, cats)
 

@@ -16,7 +16,7 @@ sits strictly in the future of the training days.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,10 +39,10 @@ class TrainConfig:
 
 @dataclass
 class RunHistory:
-    """Per-epoch train losses (by head) and eval metrics."""
+    """Per-epoch train losses (by head) and the eval metrics after the last."""
 
-    head_losses: list = field(default_factory=list)
-    eval_metrics: list = field(default_factory=list)
+    head_losses: list
+    metrics: "metrics.MetricsRecord"
 
 
 def evaluate(model, ds):
@@ -118,7 +118,8 @@ def loss_jobs(model, train_ds, seed):
 
 
 def train(model, train_ds, eval_ds, cfg):
-    """Train a model and return (model, RunHistory).
+    """Train a model, score it once on ``eval_ds`` (untrained if cfg.epochs
+    is 0), and return (model, RunHistory).
 
     Per batch, the loss is ``batch_loss`` of the job's heads; one optimizer
     step per batch. Everything is deterministic given cfg.seed.
@@ -129,18 +130,15 @@ def train(model, train_ds, eval_ds, cfg):
         raise ValueError(
             f"temporal split violated: train days reach {train_ds.day.max()}, "
             f"eval days start at {eval_ds.day.min()}")
-    history = RunHistory()
-    if cfg.epochs == 0:
-        return model, history
     jobs = [(heads, ds, ad.Adam(params, cfg.learning_rate), rng)
             for heads, ds, params, rng in loss_jobs(model, train_ds, cfg.seed)]
-    for epoch in range(cfg.epochs):
-        losses = {}
-        # A diverging run overflows in the forward pass; the loss check, Adam
-        # and the eval check below abort it with a named FloatingPointError,
-        # so numpy prints no warning text on the way. The eval check catches
-        # an epoch whose last step diverged: no later loss would see it.
-        with np.errstate(over="ignore", invalid="ignore"):
+    head_losses = []
+    # A diverging run overflows in the forward pass; the loss checks, Adam and
+    # the eval check abort it with a named FloatingPointError, so numpy prints
+    # no warning text. The eval check catches a last step that diverged.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            losses = {}
             for heads, ds, opt, rng in jobs:
                 sums = {}
                 weight_total = 0.0
@@ -154,8 +152,7 @@ def train(model, train_ds, eval_ds, cfg):
                         sums[key] = sums.get(key, 0.0) + float(term.value)
                     weight_total += batch_weight
                 losses.update((key, value / weight_total) for key, value in sums.items())
-            record = evaluate(model, eval_ds)
-        _check_finite(record.joint_ce, model.name, epoch)
-        history.head_losses.append(losses)
-        history.eval_metrics.append(record)
-    return model, history
+            head_losses.append(losses)
+        record = evaluate(model, eval_ds)
+        _check_finite(record.joint_ce, model.name, max(cfg.epochs - 1, 0))
+    return model, RunHistory(head_losses, record)

@@ -79,7 +79,7 @@ class TestCriterion2OracleFloor:
         floor = fd.bayes_ce(gt, eval_ds, "joint")
         model = md.build("ESP", md.NetworkConfig(), seed=5)
         model, history = tr.train(model, train_ds, eval_ds, tr.TrainConfig(seed=0))
-        ce = history.eval_metrics[-1].joint_ce
+        ce = history.metrics.joint_ce
         elapsed = time.perf_counter() - start
         assert ce <= 1.10 * floor, (ce, floor, ce / floor)
         assert elapsed < 300.0

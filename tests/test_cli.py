@@ -176,6 +176,19 @@ class TestRunAblation:
         rebuilt = metrics.better_than_table(report.stats, alpha=0.01)
         assert rebuilt == report.better_than
 
+    def test_each_run_scored_once(self, monkeypatch):
+        calls = []
+        real = tr.evaluate
+
+        def counted(model, ds):
+            calls.append(model.name)
+            return real(model, ds)
+
+        monkeypatch.setattr(tr, "evaluate", counted)
+        cfg = tiny_config(models=["IP", "ESMM"], train={**TINY["train"], "epochs": 3})
+        cli.run_ablation(cfg)
+        assert sorted(calls) == sorted(["IP", "ESMM"] * cfg.n_seeds)
+
     def test_failed_run_marked_and_exit_nonzero(self, tmp_path, monkeypatch):
         real = cli._train_one
 
@@ -303,11 +316,10 @@ class TestRunDrift:
         with pytest.raises(ValueError, match="n_days"):
             cli.run_drift(cfg)
 
-    @pytest.mark.parametrize("epochs", [1, 0])
+    @pytest.mark.parametrize("epochs", [1, 0, 3])
     def test_offset_two_scored_once(self, monkeypatch, epochs):
-        """Training already scores the offset-2 day after its last epoch; the
-        harness reuses that score, and evaluates it itself only when there
-        were no epochs."""
+        """Training scores the offset-2 day once, after its last epoch or
+        untrained when there are no epochs; the harness reuses that score."""
         calls = []
         real = tr.evaluate
 
@@ -327,6 +339,22 @@ class TestRunDrift:
         guard = fd.generate_day(cfg.funnel, offset_two_day, cfg.n_eval, eval_seed)
         model, _ = cli._train_one(cfg, "IP", 1, train_ds, guard)
         assert report.ces[("IP", 1, 2)] == real(model, guard).joint_ce
+
+
+    def test_generates_only_train_and_offset_days(self, monkeypatch):
+        days = []
+        real = fd.generate_day
+
+        def counted(config, day, n, seed):
+            days.append(day)
+            return real(config, day, n, seed)
+
+        monkeypatch.setattr(fd, "generate_day", counted)
+        cfg = tiny_config()
+        cli.run_drift(cfg, models=("IP",))
+        per_seed = [*range(cfg.train_days),
+                    *(cfg.train_days - 1 + offset for offset in cli.DRIFT_OFFSETS)]
+        assert sorted(days) == sorted(per_seed * cfg.n_seeds)
 
 
 class TestRunGradcheck:
@@ -402,6 +430,41 @@ class TestMainCli:
         assert code == 0
         assert (out_dir / "ablation_runs.csv").exists()
         assert (out_dir / "ablation_stats.csv").exists()
+
+    def test_zero_epoch_ablation_scores_untrained_models(self, tmp_path):
+        raw = {**TINY, "models": ["IP", "ESMM"], "train": {**TINY["train"], "epochs": 0}}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(raw))
+        out_dir = tmp_path / "reports"
+        assert cli.main(["ablation", "--config", str(config), "--out", str(out_dir),
+                         "--format", "csv"]) == 0
+        cfg = cli.config_from_dict(raw)
+        lines = (out_dir / "ablation_runs.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+        assert len(rows) == 4
+        for name, seed, joint_ce, *rest in rows:
+            assert all(np.isfinite(float(cell)) for cell in [joint_ce, *rest])
+            _, eval_ds = cli._seed_datasets(cfg, int(seed))
+            fresh = md.build(name, cfg.net, cli._model_init_seed(cfg.base_seed, int(seed), name))
+            assert float(joint_ce) == tr.evaluate(fresh, eval_ds).joint_ce
+
+    @pytest.mark.parametrize("command", ["ablation", "drift"])
+    def test_unwritable_out_exits_two_before_training(self, tmp_path, monkeypatch, capsys,
+                                                      command):
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(tr, "train", no_training)
+        blocker = tmp_path / "blocked"
+        blocker.write_text("file, not a directory")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**TINY, "models": ["IP"]}))
+        code = cli.main([command, "--config", str(config), "--out", str(blocker / "sub")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("invalid config: cannot create output directory ")
+        assert "blocked" in err[0]
 
     def test_baseline_failing_every_seed_keeps_report(self, tmp_path, capsys, recwarn):
         """With no baseline stats the per-run rows are still written, the
@@ -584,14 +647,14 @@ class TestSeedPool:
                                                         monkeypatch, two_cores, command):
         """A worker killed mid-run (as by the OOM killer) is one line and
         exit 1, not a traceback."""
-        parent, real = os.getpid(), cli._seed_datasets
+        parent, real = os.getpid(), cli._train_dataset
 
-        def seed_datasets(cfg, seed_idx):
+        def train_dataset(cfg, seed_idx):
             if seed_idx == 1 and os.getpid() != parent:
                 os._exit(3)
             return real(cfg, seed_idx)
 
-        monkeypatch.setattr(cli, "_seed_datasets", seed_datasets)
+        monkeypatch.setattr(cli, "_train_dataset", train_dataset)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({**TINY, "n_seeds": 3, "models": ["IP"]}))

@@ -50,8 +50,7 @@ class TestTrainContract:
         hist_a, params_a = run()
         hist_b, params_b = run()
         assert hist_a.head_losses == hist_b.head_losses
-        for rec_a, rec_b in zip(hist_a.eval_metrics, hist_b.eval_metrics):
-            assert rec_a.joint_ce == rec_b.joint_ce
+        assert hist_a.metrics.joint_ce == hist_b.metrics.joint_ce
         for a, b in zip(params_a, params_b):
             np.testing.assert_array_equal(a, b)
 
@@ -67,7 +66,7 @@ class TestTrainContract:
         _, history = tr.train(model, train_ds, eval_ds,
                               tr.TrainConfig(epochs=3, batch_size=512))
         assert len(history.head_losses) == 3
-        assert len(history.eval_metrics) == 3
+        assert history.metrics == tr.evaluate(model, eval_ds)
 
     @pytest.mark.parametrize("name", md.MODEL_NAMES)
     def test_final_train_loss_below_first_epoch(self, name):
