@@ -37,14 +37,13 @@ GRADCHECK_SMALL_GRAD = 1e-4
 
 
 class Node:
-    """One computation record: value, parents, and a gradient rule."""
+    """One computation record: value, op name, and a gradient rule."""
 
-    __slots__ = ("value", "grad", "parents", "op", "backward_fn", "tape", "index")
+    __slots__ = ("value", "grad", "op", "backward_fn", "tape", "index")
 
-    def __init__(self, value, parents, op, backward_fn, tape, index):
+    def __init__(self, value, op, backward_fn, tape, index):
         self.value = value
         self.grad = None
-        self.parents = parents
         self.op = op
         self.backward_fn = backward_fn
         self.tape = tape
@@ -78,21 +77,21 @@ class Tape:
         self.nodes = []
         self._watched = {}
 
-    def _record(self, value, parents, op, backward_fn):
-        node = Node(np.asarray(value, dtype=np.float64), parents, op, backward_fn,
-                    self, len(self.nodes))
+    def _record(self, value, op, backward_fn):
+        node = Node(np.asarray(value, dtype=np.float64), op, backward_fn, self,
+                    len(self.nodes))
         self.nodes.append(node)
         return node
 
     def constant(self, value):
         """A leaf node whose gradient is tracked but feeds nothing."""
-        return self._record(value, (), "const", None)
+        return self._record(value, "const", None)
 
     def watch(self, param):
         """Bind a Param as a leaf node; repeat calls return the same node."""
         node = self._watched.get(param)
         if node is None:
-            node = self._record(param.value, (), "param", None)
+            node = self._record(param.value, "param", None)
             self._watched[param] = node
         return node
 
@@ -149,7 +148,7 @@ def relu(x):
     def backward_fn(out_grad):
         _accumulate(x, out_grad * (x.value > 0))
 
-    return x.tape._record(np.maximum(x.value, 0.0), (x,), "relu", backward_fn)
+    return x.tape._record(np.maximum(x.value, 0.0), "relu", backward_fn)
 
 
 def _stable_sigmoid_values(v):
@@ -171,7 +170,7 @@ def sigmoid(x):
     def backward_fn(out_grad):
         _accumulate(x, out_grad * value * (1.0 - value))
 
-    return x.tape._record(value, (x,), "sigmoid", backward_fn)
+    return x.tape._record(value, "sigmoid", backward_fn)
 
 
 def multiply(a, b):
@@ -183,7 +182,7 @@ def multiply(a, b):
         _accumulate(a, out_grad * b.value)
         _accumulate(b, out_grad * a.value)
 
-    return a.tape._record(a.value * b.value, (a, b), "mul", backward_fn)
+    return a.tape._record(a.value * b.value, "mul", backward_fn)
 
 
 def add(a, b):
@@ -195,7 +194,7 @@ def add(a, b):
         _accumulate(a, out_grad)
         _accumulate(b, out_grad)
 
-    return a.tape._record(a.value + b.value, (a, b), "add", backward_fn)
+    return a.tape._record(a.value + b.value, "add", backward_fn)
 
 
 def scale(x, c):
@@ -205,14 +204,14 @@ def scale(x, c):
     def backward_fn(out_grad):
         _accumulate(x, out_grad * c)
 
-    return x.tape._record(x.value * c, (x,), "scale", backward_fn)
+    return x.tape._record(x.value * c, "scale", backward_fn)
 
 
 def reshape(x, shape):
     def backward_fn(out_grad):
         _accumulate(x, out_grad.reshape(x.value.shape))
 
-    return x.tape._record(x.value.reshape(shape), (x,), "reshape", backward_fn)
+    return x.tape._record(x.value.reshape(shape), "reshape", backward_fn)
 
 
 def vsum(x):
@@ -220,7 +219,7 @@ def vsum(x):
     def backward_fn(out_grad):
         _accumulate(x, np.broadcast_to(out_grad, x.value.shape))
 
-    return x.tape._record(x.value.sum(), (x,), "sum", backward_fn)
+    return x.tape._record(x.value.sum(), "sum", backward_fn)
 
 
 def concat(parts, axis=-1):
@@ -233,7 +232,7 @@ def concat(parts, axis=-1):
             _accumulate(part, piece)
 
     value = np.concatenate([p.value for p in parts], axis=axis)
-    return parts[0].tape._record(value, tuple(parts), "concat", backward_fn)
+    return parts[0].tape._record(value, "concat", backward_fn)
 
 
 class DenseLayer:
@@ -289,7 +288,7 @@ def dense_forward(layer, x):
         _accumulate(b, out_grad.sum(axis=0))
         _accumulate(x, out_grad @ layer.weights.value)
 
-    return tape._record(value, (x, w, b), "dense", backward_fn)
+    return tape._record(value, "dense", backward_fn)
 
 
 class EmbeddingTable:
@@ -324,7 +323,7 @@ class EmbeddingTable:
             grad = np.bincount(bins, weights=out_grad.ravel(), minlength=self.rows.value.size)
             _accumulate(rows, grad.reshape(self.rows.value.shape))
 
-        return tape._record(self.rows.value[indices], (rows,), "embed", backward_fn)
+        return tape._record(self.rows.value[indices], "embed", backward_fn)
 
 
 def weighted_bce(pred, labels, weights):
@@ -354,7 +353,7 @@ def weighted_bce(pred, labels, weights):
         dp = weights * (-(labels / p) + (1.0 - labels) / (1.0 - p)) * in_range
         _accumulate(pred, out_grad * dp)
 
-    return pred.tape._record(value, (pred,), "weighted_bce", backward_fn)
+    return pred.tape._record(value, "weighted_bce", backward_fn)
 
 
 class Adam:

@@ -91,6 +91,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown models {sorted(unknown)}; valid: {md.MODEL_NAMES}")
         if not self.models:
             raise ValueError("at least one model required")
+        if not self.out_dir:
+            raise ValueError("out_dir must be a nonempty path")
         repeated = sorted({name for name in self.models if self.models.count(name) > 1})
         if repeated:
             raise ValueError(f"models must be distinct; repeated: {repeated}")
@@ -423,9 +425,9 @@ def emit_report(report, out_dir, fmt="csv"):
     per-run rows are always written (a failed run's JSON row carries its
     error); when no stats could be computed, the stats output says why.
     """
-    out = _out_dir(out_dir)
     if fmt not in ("csv", "json", "both"):
         raise ValueError(f"format must be csv, json or both, got {fmt!r}")
+    out = _out_dir(out_dir)
     written = []
     header_lines = [f"# {report.formula}",
                     f"# funnel_config_fingerprint = {report.config_fingerprint}",
@@ -588,7 +590,7 @@ def _fault_node(root):
     def backward_fn(out_grad):
         ad._accumulate(root, 2.0 * out_grad)
 
-    return root.tape._record(root.value, (root,), "fault", backward_fn)
+    return root.tape._record(root.value, "fault", backward_fn)
 
 
 def run_gradcheck(cfg, n_examples=12, corrupt=False, log=None):
@@ -608,7 +610,7 @@ def run_gradcheck(cfg, n_examples=12, corrupt=False, log=None):
     weight = ds.weight.copy()
     weight[1] = 3.0
     batch = fd.Dataset(ds.dense, ds.cats, click, conversion, weight, ds.day,
-                       ds.config_fingerprint, "gradcheck batch")
+                       ds.config_fingerprint)
     rows = np.arange(n_examples)
     results = {}
     all_ok = True
@@ -702,9 +704,9 @@ def _load_config(args):
             raw = json.load(fh)
     if getattr(args, "seeds", None) is not None:
         raw["n_seeds"] = args.seeds
-    if getattr(args, "models", None):
+    if getattr(args, "models", None) is not None:
         raw["models"] = [m.strip() for m in args.models.split(",") if m.strip()]
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         raw["out_dir"] = args.out
     if getattr(args, "downsample_factor", None) is not None:
         raw["downsample_factor"] = args.downsample_factor
@@ -741,7 +743,7 @@ def main(argv=None):
                          help="per-day generative weight drift magnitude")
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check, all six designs")
-    _add_common_flags(p_grad)
+    p_grad.add_argument("--config", help="JSON experiment config file")
 
     sub.add_parser("selftest", help="fast oracle self-tests")
 

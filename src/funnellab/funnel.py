@@ -17,7 +17,6 @@ after creation, so concurrent generation is safe.
 """
 
 import hashlib
-import io
 import math
 from dataclasses import dataclass
 
@@ -188,15 +187,14 @@ def _binary_labels(name, values):
 
 
 class Dataset:
-    """Columnar, immutable collection of examples plus provenance.
+    """Columnar, immutable collection of examples.
 
     Construction checks the funnel's invariants: click and conversion labels
     are 0 or 1, conversion implies click, and weights are finite and
     nonnegative.
     """
 
-    def __init__(self, dense, cats, click, conversion, weight, day,
-                 config_fingerprint, provenance):
+    def __init__(self, dense, cats, click, conversion, weight, day, config_fingerprint):
         self.dense = np.asarray(dense, dtype=np.float64)
         self.cats = np.asarray(cats, dtype=np.int64)
         self.click = _binary_labels("click", click)
@@ -204,7 +202,6 @@ class Dataset:
         self.weight = np.asarray(weight, dtype=np.float64)
         self.day = np.asarray(day, dtype=np.int64)
         self.config_fingerprint = config_fingerprint
-        self.provenance = provenance
         n = len(self.dense)
         for name, col in (("cats", self.cats), ("click", self.click),
                           ("conversion", self.conversion), ("weight", self.weight),
@@ -222,7 +219,7 @@ class Dataset:
     def subset(self, index):
         return Dataset(self.dense[index], self.cats[index], self.click[index],
                        self.conversion[index], self.weight[index], self.day[index],
-                       self.config_fingerprint, self.provenance + " subset")
+                       self.config_fingerprint)
 
     def clicked(self):
         return self.subset(self.click == 1)
@@ -240,8 +237,7 @@ class Dataset:
             np.concatenate([ds.conversion for ds in datasets]),
             np.concatenate([ds.weight for ds in datasets]),
             np.concatenate([ds.day for ds in datasets]),
-            first.config_fingerprint,
-            " + ".join(ds.provenance for ds in datasets))
+            first.config_fingerprint)
 
 
 class GroundTruth:
@@ -341,9 +337,8 @@ def generate_day(config, day, n, seed):
     p_conv = gt.true_cvr_given_click(dense, cats, day)
     click = (rng.random(n) < p_click).astype(np.int64)
     conversion = click * (rng.random(n) < p_conv).astype(np.int64)
-    provenance = f"config={config.fingerprint()} day={day} n={n} seed={seed}"
     return Dataset(dense, cats, click, conversion, np.ones(n),
-                   np.full(n, day), config.fingerprint(), provenance)
+                   np.full(n, day), config.fingerprint())
 
 
 def downsample_negatives(ds, f, seed):
@@ -363,16 +358,12 @@ def downsample_negatives(ds, f, seed):
     weight[(ds.click == 0) & keep] *= f
     return Dataset(ds.dense[keep], ds.cats[keep], ds.click[keep],
                    ds.conversion[keep], weight[keep], ds.day[keep],
-                   ds.config_fingerprint,
-                   ds.provenance + f" downsample=f:{f} seed={seed}")
+                   ds.config_fingerprint)
 
 
 def shuffle(ds, seed):
     """Deterministic permutation; the multiset of examples is preserved."""
-    perm = np.random.default_rng(seed).permutation(len(ds))
-    out = ds.subset(perm)
-    out.provenance = ds.provenance + f" shuffle seed={seed}"
-    return out
+    return ds.subset(np.random.default_rng(seed).permutation(len(ds)))
 
 
 def bayes_ce(gt, ds, target="joint"):
@@ -393,51 +384,3 @@ def bayes_ce(gt, ds, target="joint"):
         labels = ds.conversion if target == "joint" else ds.click
     preds = gt._dataset_probs(ds, target)
     return metrics.weighted_ce(preds, labels, ds.weight)
-
-
-def dataset_to_file(ds, path):
-    """Columnar text export: comment lines with provenance, header row, rows."""
-    cfg_dim = ds.dense.shape[1]
-    n_cat = ds.cats.shape[1]
-    cols = ([f"dense_{i}" for i in range(cfg_dim)]
-            + [f"cat_{j}" for j in range(n_cat)]
-            + ["click", "conversion", "weight", "day"])
-    buf = io.StringIO()
-    buf.write(f"# fingerprint: {ds.config_fingerprint}\n")
-    buf.write(f"# provenance: {ds.provenance}\n")
-    buf.write(",".join(cols) + "\n")
-    for i in range(len(ds)):
-        fields = ([repr(float(v)) for v in ds.dense[i]]
-                  + [str(int(v)) for v in ds.cats[i]]
-                  + [str(ds.click[i]), str(ds.conversion[i]),
-                     repr(float(ds.weight[i])), str(ds.day[i])])
-        buf.write(",".join(fields) + "\n")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
-
-
-def dataset_from_file(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    fingerprint, provenance = "", ""
-    row_start = 0
-    for i, line in enumerate(lines):
-        if line.startswith("# fingerprint:"):
-            fingerprint = line.split(":", 1)[1].strip()
-        elif line.startswith("# provenance:"):
-            provenance = line.split(":", 1)[1].strip()
-        elif not line.startswith("#"):
-            row_start = i
-            break
-    header = lines[row_start].split(",")
-    dense_dim = sum(1 for c in header if c.startswith("dense_"))
-    n_cat = sum(1 for c in header if c.startswith("cat_"))
-    rows = [line.split(",") for line in lines[row_start + 1:] if line]
-    data = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(header)))
-    dense = data[:, :dense_dim]
-    cats = data[:, dense_dim:dense_dim + n_cat].astype(np.int64)
-    click = data[:, dense_dim + n_cat]
-    conversion = data[:, dense_dim + n_cat + 1]
-    weight = data[:, dense_dim + n_cat + 2]
-    day = data[:, dense_dim + n_cat + 3].astype(np.int64)
-    return Dataset(dense, cats, click, conversion, weight, day, fingerprint, provenance)

@@ -168,9 +168,8 @@ def _as_batch(dense, cats):
 class Model:
     """A built design: towers, heads, and the prediction compositions."""
 
-    def __init__(self, characteristics, net, stacks, heads, wiring):
+    def __init__(self, characteristics, stacks, heads, wiring):
         self.characteristics = characteristics
-        self.net = net
         self._stacks = stacks          # name -> _Stack
         self._heads = heads            # name -> _Head
         self._wiring = wiring          # head name -> stack name
@@ -246,80 +245,6 @@ class Model:
     def predict_dataset(self, ds):
         return self.predict_all(ds.dense, ds.cats)
 
-    def _predict_one(self, key, dense, cats):
-        single = np.ndim(dense) == 1
-        out = self.predict_all(np.atleast_2d(dense), np.atleast_2d(cats))[key]
-        return float(out[0]) if single else out
-
-    def predict_joint(self, dense, cats):
-        """p(conversion, click | x): the ranking quantity of interest."""
-        return self._predict_one("joint", dense, cats)
-
-    def predict_ctr(self, dense, cats):
-        if "ctr" not in self._heads:
-            raise ValueError(f"{self.name} has no CTR head")
-        return self._predict_one("ctr", dense, cats)
-
-    def predict_cvr_given_click(self, dense, cats):
-        """Conditional conversion prediction, where the design defines one.
-
-        IP and IPSP expose their explicit conditional head; ESMM and ESMM-NS
-        expose the implicit node. ESSP-Split and ESP have no conditional
-        entity and raise.
-        """
-        if "cvr" not in self._heads:
-            raise ValueError(f"{self.name} has no conditional conversion head")
-        return self._predict_one("cvr", dense, cats)
-
-    def save(self, path):
-        """Flat text format: design name, dimensions, then parameter matrices."""
-        lines = ["funnellab-model v1",
-                 f"name: {self.name}",
-                 f"dense_input_dim: {self.net.dense_input_dim}",
-                 f"n_categorical: {self.net.n_categorical}",
-                 f"vocab_size: {self.net.vocab_size}",
-                 f"embedding_dim: {self.net.embedding_dim}",
-                 f"shared_layer_dims: {','.join(map(str, self.net.shared_layer_dims))}",
-                 f"head_layer_dims: {','.join(map(str, self.net.head_layer_dims))}"]
-        for param in self.parameters():
-            mat = np.atleast_2d(param.value)
-            lines.append(f"param: {param.name} {mat.shape[0]} {mat.shape[1]}")
-            for row in mat:
-                lines.append(" ".join(repr(float(v)) for v in row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        if not lines or lines[0] != "funnellab-model v1":
-            raise ValueError(f"not a funnellab model file: {path}")
-        fields = {}
-        i = 1
-        while i < len(lines) and not lines[i].startswith("param:"):
-            key, value = lines[i].split(":", 1)
-            fields[key.strip()] = value.strip()
-            i += 1
-        net = NetworkConfig(
-            dense_input_dim=int(fields["dense_input_dim"]),
-            n_categorical=int(fields["n_categorical"]),
-            vocab_size=int(fields["vocab_size"]),
-            embedding_dim=int(fields["embedding_dim"]),
-            shared_layer_dims=tuple(int(v) for v in fields["shared_layer_dims"].split(",")),
-            head_layer_dims=tuple(int(v) for v in fields["head_layer_dims"].split(",")))
-        model = build(fields["name"], net, seed=0)
-        for param in model.parameters():
-            header = lines[i].split()
-            if header[0] != "param:" or header[1] != param.name:
-                raise ValueError(f"unexpected parameter record {lines[i]!r}, wanted {param.name}")
-            rows, cols = int(header[2]), int(header[3])
-            block = np.array([[float(v) for v in lines[i + 1 + r].split()]
-                              for r in range(rows)])
-            param.value[...] = block.reshape(param.value.shape)
-            i += 1 + rows
-        return model
-
 
 def build(name, net_config, seed):
     """Construct one of the six designs with deterministic initialization.
@@ -343,4 +268,4 @@ def build(name, net_config, seed):
             stacks[tower] = _Stack(net_config, rng, tower)
         heads[head] = _Head(stacks[tower].out_dim, net_config, rng, head)
         wiring[head] = tower
-    return Model(chars, net_config, stacks, heads, wiring)
+    return Model(chars, stacks, heads, wiring)

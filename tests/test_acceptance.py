@@ -154,13 +154,13 @@ class TestCriterion6IpspGradientGating:
         cats = rng.integers(0, net.vocab_size, (n, net.n_categorical))
         train_ds = fd.Dataset(dense, cats, np.zeros(n, dtype=int),
                               np.zeros(n, dtype=int), np.full(n, 10.0),
-                              np.zeros(n, dtype=int), "fp", "all unclicked")
+                              np.zeros(n, dtype=int), "fp")
         m = 16
         eval_ds = fd.Dataset(rng.standard_normal((m, net.dense_input_dim)),
                              rng.integers(0, net.vocab_size, (m, net.n_categorical)),
                              np.array([1] * 4 + [0] * 12),
                              np.array([1] + [0] * 15), np.ones(m),
-                             np.ones(m, dtype=int), "fp", "eval")
+                             np.ones(m, dtype=int), "fp")
         cvr_before = [p.value.copy() for p in model.head_exclusive_parameters("cvr")]
         trunk_before = [p.value.copy() for p in model._stacks["shared"].params()]
         tr.train(model, train_ds, eval_ds,

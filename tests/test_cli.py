@@ -55,7 +55,8 @@ class TestExperimentConfig:
         ({"n_train_per_day": -5}, "n_train_per_day and n_eval must be >= 1"),
         ({"n_eval": 0}, "n_train_per_day and n_eval must be >= 1"),
         ({"base_seed": -1}, "base_seed must be >= 0"),
-    ], ids=["negative-rows", "no-eval", "negative-seed"])
+        ({"out_dir": ""}, "out_dir must be a nonempty path"),
+    ], ids=["negative-rows", "no-eval", "negative-seed", "empty-out-dir"])
     def test_rejects_out_of_range_sizes(self, extra, match):
         with pytest.raises(ValueError, match=match):
             tiny_config(**extra)
@@ -143,7 +144,9 @@ class TestPairedSeeds:
         np.testing.assert_array_equal(a_train.dense, b_train.dense)
         np.testing.assert_array_equal(a_train.weight, b_train.weight)
         np.testing.assert_array_equal(a_eval.dense, b_eval.dense)
-        assert a_train.provenance == b_train.provenance
+        for column in ("cats", "click", "conversion", "day"):
+            np.testing.assert_array_equal(getattr(a_train, column), getattr(b_train, column))
+            np.testing.assert_array_equal(getattr(a_eval, column), getattr(b_eval, column))
 
     def test_different_seeds_differ(self):
         cfg = tiny_config()
@@ -299,6 +302,13 @@ class TestEmitReport:
         with pytest.raises(OSError, match="blocked"):
             cli.emit_report(report, blocker / "sub", fmt="csv")
 
+    def test_bad_format_creates_no_directory(self, tmp_path):
+        report = cli.AblationReport("fp", "formula", ["IP"], 2, {}, {}, None, {}, {},
+                                    stats_error="no runs")
+        with pytest.raises(ValueError, match="format must be"):
+            cli.emit_report(report, tmp_path / "out", fmt="xml")
+        assert not (tmp_path / "out").exists()
+
 
 class TestRunDrift:
     def test_report_has_exactly_five_offsets(self, tmp_path):
@@ -375,6 +385,17 @@ class TestMainCli:
         config.write_text(json.dumps(TINY))
         assert cli.main(["gradcheck", "--config", str(config)]) == 0
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--models", "IP"), ("--seeds", "7"), ("--out", "x"), ("--downsample-factor", "3"),
+    ])
+    def test_gradcheck_rejects_run_flags(self, tmp_path, capsys, flag, value):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(TINY))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gradcheck", "--config", str(config), flag, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_invalid_config_exit_two(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({**TINY, "models": ["NotAModel"]}))
@@ -401,17 +422,20 @@ class TestMainCli:
         ({"train_overrides": {"ESMM": {"learning_rate": float("inf")}}}, []),
         ({"funnel": {**TINY["funnel"], "dense_signal": float("nan")}}, []),
         ({}, ["--models", "IP,IP,ESMM"]),
+        ({}, ["--models", ""]),
+        ({}, ["--out", ""]),
     ], ids=["no-baseline", "override-key", "override-model", "top-key", "section-key",
             "models-string", "float-int", "string-int", "negative-rows", "click-rate-above-1",
             "click-rate-0", "click-rate-1", "conv-rate-negative", "click-rate-nan",
             "downsample-flag-inf", "downsample-inf", "learning-rate-nan", "override-inf",
-            "dense-signal-nan", "models-repeated"])
+            "dense-signal-nan", "models-repeated", "models-empty", "out-empty"])
     def test_bad_ablation_input_exits_two_before_training(
             self, tmp_path, monkeypatch, capsys, extra, flags):
         def no_training(*args):
             raise AssertionError("training started")
 
         monkeypatch.setattr(cli, "_train_one", no_training)
+        monkeypatch.chdir(tmp_path)
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({**TINY, **extra}))
         code = cli.main(["ablation", "--config", str(config),
@@ -521,13 +545,17 @@ class TestMainCli:
         ({}, ["--drift-rate", "nan"]),
         ({"funnel": {**TINY["funnel"], "drift_rate": float("inf")}}, []),
         ({}, ["--models", "IP,IP"]),
-    ], ids=["drift-rate-flag-nan", "drift-rate-inf", "models-repeated"])
+        ({}, ["--models", ""]),
+        ({}, ["--out", ""]),
+    ], ids=["drift-rate-flag-nan", "drift-rate-inf", "models-repeated", "models-empty",
+            "out-empty"])
     def test_bad_drift_input_exits_two_before_training(
             self, tmp_path, monkeypatch, capsys, extra, flags):
         def no_training(*args):
             raise AssertionError("training started")
 
         monkeypatch.setattr(cli, "_train_one", no_training)
+        monkeypatch.chdir(tmp_path)
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({**TINY, **extra}))
         code = cli.main(["drift", "--config", str(config),

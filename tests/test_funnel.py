@@ -257,7 +257,7 @@ class TestDownsampleNegatives:
         n = 1_000_000
         ds = fd.Dataset(np.zeros((n, 1)), np.zeros((n, 0), dtype=int),
                         np.zeros(n, dtype=int), np.zeros(n, dtype=int),
-                        np.ones(n), np.zeros(n, dtype=int), "fp", "negatives")
+                        np.ones(n), np.zeros(n, dtype=int), "fp")
         out = fd.downsample_negatives(ds, 10.0, seed=4)
         se = math.sqrt(n * 0.1 * 0.9)
         assert abs(len(out) - n / 10) < 3 * se
@@ -275,7 +275,7 @@ class TestDownsampleNegatives:
         ds = fd.generate_day(_toy_config(), 0, 20_000, seed=7)
         flipped = fd.Dataset(ds.dense, ds.cats, ds.click,
                              np.zeros_like(ds.conversion), ds.weight, ds.day,
-                             ds.config_fingerprint, ds.provenance)
+                             ds.config_fingerprint)
         a = fd.downsample_negatives(ds, 5.0, seed=8)
         b = fd.downsample_negatives(flipped, 5.0, seed=8)
         np.testing.assert_array_equal(a.dense, b.dense)
@@ -286,7 +286,7 @@ class TestDownsampleNegatives:
         n = 100_000
         ds = fd.Dataset(np.zeros((n, 1)), np.zeros((n, 0), dtype=int),
                         np.zeros(n, dtype=int), np.zeros(n, dtype=int),
-                        np.ones(n), np.zeros(n, dtype=int), "fp", "negatives")
+                        np.ones(n), np.zeros(n, dtype=int), "fp")
         totals = [fd.downsample_negatives(ds, 10.0, seed=s).weight.sum()
                   for s in range(100)]
         assert abs(np.mean(totals) - n) / n < 0.01
@@ -336,7 +336,7 @@ class TestShuffle:
         click = np.array([1] * 500 + [0] * 500)
         ds = fd.Dataset(np.zeros((n, 1)), np.zeros((n, 0), dtype=int),
                         click, np.zeros(n, dtype=int), np.ones(n),
-                        np.zeros(n, dtype=int), "fp", "sorted")
+                        np.zeros(n, dtype=int), "fp")
         out = fd.shuffle(ds, seed=17)
         runs = 1 + int(np.sum(out.click[1:] != out.click[:-1]))
         # a random permutation gives ~ 2*n1*n0/n + 1 = ~501 runs; sorted input has 2
@@ -387,21 +387,6 @@ class TestBayesCe:
 
 
 class TestDatasetIo:
-    def test_round_trip(self, tmp_path):
-        ds = fd.generate_day(_toy_config(), 1, 200, seed=8)
-        ds = fd.downsample_negatives(ds, 4.0, seed=9)
-        path = tmp_path / "funnel.csv"
-        fd.dataset_to_file(ds, path)
-        back = fd.dataset_from_file(path)
-        np.testing.assert_array_equal(back.dense, ds.dense)
-        np.testing.assert_array_equal(back.cats, ds.cats)
-        np.testing.assert_array_equal(back.click, ds.click)
-        np.testing.assert_array_equal(back.conversion, ds.conversion)
-        np.testing.assert_array_equal(back.weight, ds.weight)
-        np.testing.assert_array_equal(back.day, ds.day)
-        assert back.config_fingerprint == ds.config_fingerprint
-        assert back.provenance == ds.provenance
-
     def test_concat_requires_matching_fingerprints(self):
         a = fd.generate_day(_toy_config(seed=1), 0, 10, seed=1)
         b = fd.generate_day(_toy_config(seed=2), 0, 10, seed=1)
@@ -412,7 +397,7 @@ class TestDatasetIo:
         with pytest.raises(ValueError):
             fd.Dataset(np.zeros((1, 1)), np.zeros((1, 0), dtype=int),
                        np.array([0]), np.array([1]), np.ones(1),
-                       np.zeros(1, dtype=int), "fp", "bad")
+                       np.zeros(1, dtype=int), "fp")
 
     @pytest.mark.parametrize("click,conversion,weight,match", [
         ([2, 0], [0, 0], [1.0, 1.0], "click labels must be 0 or 1"),
@@ -429,31 +414,13 @@ class TestDatasetIo:
         with pytest.raises(ValueError, match=match):
             fd.Dataset(np.zeros((2, 1)), np.zeros((2, 0), dtype=int),
                        np.array(click), np.array(conversion), np.array(weight),
-                       np.zeros(2, dtype=int), "fp", "bad")
+                       np.zeros(2, dtype=int), "fp")
 
     def test_zero_weight_and_boolean_labels_accepted(self):
         ds = fd.Dataset(np.zeros((2, 1)), np.zeros((2, 0), dtype=int),
                         np.array([True, False]), np.array([True, False]),
-                        np.array([0.0, 3.0]), np.zeros(2, dtype=int), "fp", "ok")
+                        np.array([0.0, 3.0]), np.zeros(2, dtype=int), "fp")
         assert ds.click.dtype == np.int64 and list(ds.conversion) == [1, 0]
-
-    @pytest.mark.parametrize("column,value,match", [
-        ("click", "2", "click labels"),
-        ("conversion", "0.5", "conversion labels"),
-        ("weight", "-1.0", "weights"),
-        ("weight", "nan", "weights"),
-    ])
-    def test_file_with_bad_row_rejected(self, tmp_path, column, value, match):
-        ds = fd.generate_day(_toy_config(), 0, 5, seed=10)
-        path = tmp_path / "funnel.csv"
-        fd.dataset_to_file(ds, path)
-        lines = path.read_text().splitlines()
-        header = lines[2].split(",")
-        row = lines[3].split(",")
-        row[header.index(column)] = value
-        path.write_text("\n".join(lines[:3] + [",".join(row)] + lines[4:]) + "\n")
-        with pytest.raises(ValueError, match=match):
-            fd.dataset_from_file(path)
 
 
 # One drawn row: (click, conversion if clicked, weight, feature, category, day).
@@ -469,7 +436,7 @@ def _datasets(draw, max_rows=40):
     n = len(rows)
     click, conv, weight, feature, cat, day = np.array(rows, dtype=np.float64).reshape(n, 6).T
     return fd.Dataset(np.column_stack([np.arange(n), feature]), cat.reshape(n, 1),
-                      click, click * conv, weight, day, "fp", "drawn")
+                      click, click * conv, weight, day, "fp")
 
 
 def _assert_funnel_invariants(ds):

@@ -79,20 +79,16 @@ class TestBuild:
         assert 1.8 < ip / esmm < 2.1
 
     def test_esp_has_no_ctr_head(self):
-        model = md.build("ESP", NET, seed=0)
         dense, cats = _batch(4)
-        with pytest.raises(ValueError, match="no CTR head"):
-            model.predict_ctr(dense, cats)
+        assert "ctr" not in md.build("ESP", NET, seed=0).predict_all(dense, cats)
 
     def test_conditional_head_exposure(self):
         dense, cats = _batch(4)
         for name in ("IP", "IPSP", "ESMM", "ESMM-NS"):
-            model = md.build(name, NET, seed=1)
-            cvr = model.predict_cvr_given_click(dense, cats)
+            cvr = md.build(name, NET, seed=1).predict_all(dense, cats)["cvr"]
             assert np.all((cvr > 0) & (cvr < 1))
         for name in ("ESSP-Split", "ESP"):
-            with pytest.raises(ValueError):
-                md.build(name, NET, seed=1).predict_cvr_given_click(dense, cats)
+            assert "cvr" not in md.build(name, NET, seed=1).predict_all(dense, cats)
 
 
 def _zero_output_layers(model):
@@ -112,13 +108,13 @@ class TestPredictions:
         model = md.build("IP", NET, seed=3)
         _zero_output_layers(model)
         dense, cats = _batch(8)
-        np.testing.assert_allclose(model.predict_joint(dense, cats), 0.25)
+        np.testing.assert_allclose(model.predict_all(dense, cats)["joint"], 0.25)
 
     def test_esmm_zero_final_layers_ctr_half(self):
         model = md.build("ESMM", NET, seed=3)
         _zero_output_layers(model)
         dense, cats = _batch(8)
-        np.testing.assert_allclose(model.predict_ctr(dense, cats), 0.5)
+        np.testing.assert_allclose(model.predict_all(dense, cats)["ctr"], 0.5)
 
     def test_product_designs_joint_is_exact_product(self):
         dense, cats = _batch(32, seed=9)
@@ -139,22 +135,16 @@ class TestPredictions:
         ip = md.build("IP", NET, seed=7)
         esp = md.build("ESP", NET, seed=7)
         dense, cats = _batch(16, seed=8)
-        np.testing.assert_array_equal(ip.predict_ctr(dense, cats),
-                                      esp.predict_joint(dense, cats))
-
-    def test_single_vector_prediction(self):
-        model = md.build("ESMM", NET, seed=5)
-        dense, cats = _batch(3, seed=6)
-        batched = model.predict_joint(dense, cats)
-        single = model.predict_joint(dense[1], cats[1])
-        assert single == pytest.approx(batched[1], rel=1e-14)
-        assert isinstance(single, float)
+        np.testing.assert_array_equal(ip.predict_all(dense, cats)["ctr"],
+                                      esp.predict_all(dense, cats)["joint"])
 
     def test_same_seed_same_predictions(self):
         dense, cats = _batch(4)
-        a = md.build("IPSP", NET, seed=11).predict_joint(dense, cats)
-        b = md.build("IPSP", NET, seed=11).predict_joint(dense, cats)
-        np.testing.assert_array_equal(a, b)
+        a = md.build("IPSP", NET, seed=11).predict_all(dense, cats)
+        b = md.build("IPSP", NET, seed=11).predict_all(dense, cats)
+        assert a.keys() == b.keys()
+        for key in a:
+            np.testing.assert_array_equal(a[key], b[key])
 
 
 def _one_pass(model, dense, cats):
@@ -228,8 +218,7 @@ def _regime(name, click, weight, conversion=None):
     n = len(click)
     conversion = np.zeros(n, dtype=int) if conversion is None else conversion
     dense, cats = _batch(n)
-    ds = fd.Dataset(dense, cats, click, conversion, weight, np.zeros(n, dtype=int),
-                    "fp", "regime")
+    ds = fd.Dataset(dense, cats, click, conversion, weight, np.zeros(n, dtype=int), "fp")
     model = md.build(name, NET, seed=0)
     _, terms, _ = tr.batch_loss(model, ad.Tape(), ds, np.arange(n))
     values = {key: float(term.value) for key, term in terms.items()}
@@ -329,14 +318,13 @@ def _all_negative_datasets(n=64):
     dense = rng.standard_normal((n, NET.dense_input_dim))
     cats = rng.integers(0, NET.vocab_size, (n, NET.n_categorical))
     train = fd.Dataset(dense, cats, np.zeros(n, dtype=int), np.zeros(n, dtype=int),
-                       np.ones(n), np.zeros(n, dtype=int), "fp", "all-negative")
+                       np.ones(n), np.zeros(n, dtype=int), "fp")
     m = 8
     eval_click = np.array([1, 1, 0, 0, 1, 0, 0, 0])
     eval_conv = np.array([1, 0, 0, 0, 0, 0, 0, 0])
     evalds = fd.Dataset(rng.standard_normal((m, NET.dense_input_dim)),
                         rng.integers(0, NET.vocab_size, (m, NET.n_categorical)),
-                        eval_click, eval_conv, np.ones(m), np.ones(m, dtype=int),
-                        "fp", "eval")
+                        eval_click, eval_conv, np.ones(m), np.ones(m, dtype=int), "fp")
     return train, evalds
 
 
@@ -388,25 +376,3 @@ class TestGradientGating:
         assert any(np.any(p.grad != 0) for p in cvr_tower)
         assert any(np.any(p.grad != 0) for p in model.tower_parameters("ctr")), \
             "joint loss flows through the product into the click tower"
-
-
-class TestSaveLoad:
-    @pytest.mark.parametrize("name", md.MODEL_NAMES)
-    def test_round_trip_predictions_bit_exact(self, name, tmp_path):
-        model = md.build(name, NET, seed=21)
-        rng = np.random.default_rng(1)
-        for p in model.parameters():
-            p.value += rng.uniform(-0.5, 0.5, p.value.shape)
-        path = tmp_path / f"{name}.model"
-        model.save(path)
-        loaded = md.Model.load(path)
-        assert loaded.characteristics == model.characteristics
-        dense, cats = _batch(12, seed=2)
-        np.testing.assert_array_equal(loaded.predict_joint(dense, cats),
-                                      model.predict_joint(dense, cats))
-
-    def test_load_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "bogus.model"
-        path.write_text("not a model\n")
-        with pytest.raises(ValueError):
-            md.Model.load(path)

@@ -118,7 +118,7 @@ class TestTrainContract:
         dense[mask] += 0.37
         variant = fd.Dataset(dense, train_ds.cats, train_ds.click,
                              train_ds.conversion, train_ds.weight, train_ds.day,
-                             train_ds.config_fingerprint, "variant")
+                             train_ds.config_fingerprint)
         cfg_t = tr.TrainConfig(epochs=1, batch_size=512, seed=3)
         tr.train(model_a, train_ds, eval_ds, cfg_t)
         tr.train(model_b, variant, eval_ds, cfg_t)
