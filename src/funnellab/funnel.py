@@ -277,11 +277,15 @@ class GroundTruth:
         return weights
 
     def _check_x(self, dense, cats):
-        dense = np.atleast_2d(np.asarray(dense, dtype=np.float64))
+        """A batch: dense (n, dense_dim) and cats (n, n_categorical), exactly."""
+        dense = np.asarray(dense, dtype=np.float64)
         cats = np.asarray(cats, dtype=np.int64)
-        cats = cats.reshape(dense.shape[0], self.config.n_categorical)
-        if dense.shape[1] != self.config.dense_dim:
-            raise ValueError(f"dense dim {dense.shape[1]} != config {self.config.dense_dim}")
+        cfg = self.config
+        if dense.ndim != 2 or dense.shape[1] != cfg.dense_dim:
+            raise ValueError(f"dense must have shape (n, {cfg.dense_dim}), got {dense.shape}")
+        if cats.shape != (len(dense), cfg.n_categorical):
+            raise ValueError(f"cats must have shape ({len(dense)}, {cfg.n_categorical}), "
+                             f"got {cats.shape}")
         return dense, cats
 
     def true_ctr(self, dense, cats, day=0):
@@ -299,20 +303,15 @@ class GroundTruth:
     def true_joint(self, dense, cats, day=0):
         return self.true_ctr(dense, cats, day) * self.true_cvr_given_click(dense, cats, day)
 
-    def _dataset_probs(self, ds, kind):
-        fn = {"ctr": self.true_ctr, "cvr_given_click": self.true_cvr_given_click,
-              "joint": self.true_joint}[kind]
-        out = np.empty(len(ds))
+    def predict_dataset(self, ds):
+        """Oracle predictor with the same surface a trained model exposes;
+        each row is scored with its own day's weights."""
+        ctr, cvr = np.empty(len(ds)), np.empty(len(ds))
         for day in np.unique(ds.day):
             mask = ds.day == day
-            out[mask] = fn(ds.dense[mask], ds.cats[mask], int(day))
-        return out
-
-    def predict_dataset(self, ds):
-        """Oracle predictor with the same surface a trained model exposes."""
-        return {"ctr": self._dataset_probs(ds, "ctr"),
-                "cvr": self._dataset_probs(ds, "cvr_given_click"),
-                "joint": self._dataset_probs(ds, "joint")}
+            ctr[mask] = self.true_ctr(ds.dense[mask], ds.cats[mask], int(day))
+            cvr[mask] = self.true_cvr_given_click(ds.dense[mask], ds.cats[mask], int(day))
+        return {"ctr": ctr, "cvr": cvr, "joint": ctr * cvr}
 
 
 def generate_day(config, day, n, seed):
@@ -379,8 +378,9 @@ def bayes_ce(gt, ds, target="joint"):
         raise ValueError(f"unknown target {target!r}")
     if target == "cvr_given_click":
         ds = ds.clicked()
-        labels = ds.conversion
+        head, labels = "cvr", ds.conversion
+    elif target == "joint":
+        head, labels = "joint", ds.conversion
     else:
-        labels = ds.conversion if target == "joint" else ds.click
-    preds = gt._dataset_probs(ds, target)
-    return metrics.weighted_ce(preds, labels, ds.weight)
+        head, labels = "ctr", ds.click
+    return metrics.weighted_ce(gt.predict_dataset(ds)[head], labels, ds.weight)

@@ -19,7 +19,8 @@ from funnellab import funnel as fd
 from funnellab import metrics
 from funnellab import models as md
 from funnellab import training as tr
-from funnellab.oracles import brute_force_pr_auc
+
+from oracles import brute_force_pr_auc
 
 
 def _report(line):

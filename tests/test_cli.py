@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from funnellab import autodiff as ad
 from funnellab import cli, metrics
 from funnellab import funnel as fd
 from funnellab import models as md
@@ -368,18 +369,27 @@ class TestRunDrift:
 
 
 class TestRunGradcheck:
-    def test_default_passes_and_corruption_detected(self):
-        cfg = tiny_config()
-        assert cli.run_gradcheck(cfg)["passed"]
-        assert not cli.run_gradcheck(cfg, corrupt=True)["passed"]
+    def test_default_passes(self):
+        assert cli.run_gradcheck(tiny_config())["passed"]
+
+    def test_corrupted_gradient_detected(self, monkeypatch):
+        batch_loss = tr.batch_loss
+
+        def doubled_gradient(*args):
+            loss, terms, batch_weight = batch_loss(*args)
+
+            def backward_fn(out_grad):  # an identity whose local gradient is 2
+                ad._accumulate(loss, 2.0 * out_grad)
+
+            return loss.tape._record(loss.value, "fault", backward_fn), terms, batch_weight
+
+        monkeypatch.setattr(tr, "batch_loss", doubled_gradient)
+        result = cli.run_gradcheck(tiny_config())
+        assert not result["passed"]
+        assert not any(res["passed"] for res in result["models"].values())
 
 
 class TestMainCli:
-    def test_selftest_exit_zero(self, capsys):
-        assert cli.main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "[PASS]" in out and "[FAIL]" not in out
-
     def test_gradcheck_subcommand(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(TINY))
@@ -444,6 +454,27 @@ class TestMainCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("invalid config: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,content,flags,message", [
+        ("drift", [], ["--drift-rate", "0.1"], "config must be an object, got []"),
+        ("ablation", [], ["--seeds", "3"], "config must be an object, got []"),
+        ("ablation", None, ["--out", "x"], "config must be an object, got None"),
+        ("drift", {"funnel": 3}, ["--drift-rate", "0.1"], "funnel must be an object, got 3"),
+        ("ablation", {"models": ["X", 1]}, [],
+         "models must be a list of names, got ['X', 1]"),
+    ], ids=["list-drift-rate", "list-seeds", "null-out", "funnel-int-drift-rate",
+            "models-non-string"])
+    def test_malformed_file_checked_before_flags(
+            self, tmp_path, monkeypatch, capsys, command, content, flags, message):
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "_train_one", no_training)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(content))
+        assert cli.main([command, "--config", "cfg.json", *flags]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"invalid config: {message}"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_ablation_subcommand_writes_reports(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -79,6 +79,20 @@ class TestGroundTruthProbabilities:
         with pytest.raises(ValueError):
             gt.true_ctr(np.zeros((2, 7)), np.zeros((2, 2), dtype=int))
 
+    @pytest.mark.parametrize("case", ["cats-transposed", "single-example", "cats-1d"])
+    def test_misshapen_batch_rejected(self, case):
+        """Only (n, dense_dim) and (n, n_categorical) arrays are a batch; a
+        reshape would pair features with the wrong rows."""
+        cfg = _toy_config()
+        gt = fd.GroundTruth(cfg)
+        ds = fd.generate_day(cfg, 0, 4, seed=1)
+        dense, cats = {"cats-transposed": (ds.dense, ds.cats.T.copy()),
+                       "single-example": (ds.dense[0], ds.cats[0]),
+                       "cats-1d": (ds.dense[:1], ds.cats[0])}[case]
+        for fn in (gt.true_ctr, gt.true_cvr_given_click, gt.true_joint):
+            with pytest.raises(ValueError, match="must have shape"):
+                fn(dense, cats)
+
 
 class TestMakeFunnelConfig:
     def test_realized_rates_hit_targets_within_10_percent(self):
@@ -386,7 +400,7 @@ class TestBayesCe:
         assert 0.97 < ratio < 1.03
 
 
-class TestDatasetIo:
+class TestDatasetChecks:
     def test_concat_requires_matching_fingerprints(self):
         a = fd.generate_day(_toy_config(seed=1), 0, 10, seed=1)
         b = fd.generate_day(_toy_config(seed=2), 0, 10, seed=1)

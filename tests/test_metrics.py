@@ -9,9 +9,8 @@ import pytest
 from scipy import stats as scipy_stats
 
 from funnellab import metrics
-from funnellab.oracles import brute_force_pr_auc
 
-from oracles import welch_t_statistic
+from oracles import brute_force_pr_auc, welch_t_statistic
 
 
 class TestWeightedCe:

@@ -10,7 +10,8 @@ from funnellab import funnel as fd
 from funnellab import metrics
 from funnellab import models as md
 from funnellab import training as tr
-from funnellab.oracles import brute_force_pr_auc
+
+from oracles import brute_force_pr_auc
 
 
 def _toy_setup(seed=3, n_train=3000, n_eval=1500, click=0.3, conv=0.3):
