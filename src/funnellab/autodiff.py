@@ -3,16 +3,26 @@
 A ``Tape`` records the forward computation as an ordered list of nodes
 (creation order is topological by construction); ``Tape.backward`` walks the
 list in reverse from a scalar root and accumulates exact partial derivatives
-into every reachable node. A node's gradient is allocated on first touch, as
-a copy of its first contribution; nodes the root never reaches get zeros.
+into every reachable node. First touch sets a node's gradient: a
+contribution its rule computed fresh is kept, one that is another node's
+gradient or a view of it (add, reshape, concat, sum) is copied, and later
+contributions are added in place, so no two nodes share a gradient array.
+Nodes the root never reaches get zeros.
+
 Parameters (``Param``) live outside the tape so they persist across training
 steps; ``Tape.watch`` binds them as leaf nodes for one forward/backward cycle.
+Each Param owns one gradient array, which backward fills (zeros if the root
+never reaches the parameter) and binds to ``Param.grad``; the next backward
+overwrites it, so copy it to keep it. ``Adam`` adopts its parameters when
+built: their values and gradient arrays become views of its flat arrays, so
+backward writes where the update reads.
 
 A tape is single-use: ``backward`` ends by calling ``Tape.release``, which
 drops the tape's node list and so breaks the node <-> tape reference cycle.
 A released tape is freed by reference counting as soon as its nodes are, and
-a second ``backward`` on it raises ``ValueError``. Forward-only callers call
-``release`` once they have read the values they need.
+a second ``backward`` on it raises ``ValueError``. ``Tape(grad=False)``
+records values only (no node list, no watched map, no backward rule kept),
+so it makes no reference cycle; prediction uses it.
 
 Tapes are single-threaded. Distinct tapes/models share no mutable state, so
 independent training runs can execute concurrently.
@@ -37,9 +47,10 @@ GRADCHECK_SMALL_GRAD = 1e-4
 
 
 class Node:
-    """One computation record: value, op name, and a gradient rule."""
+    """One computation record: value, op name, a gradient rule, and for a
+    watched leaf its ``param``."""
 
-    __slots__ = ("value", "grad", "op", "backward_fn", "tape", "index")
+    __slots__ = ("value", "grad", "op", "backward_fn", "tape", "index", "param")
 
     def __init__(self, value, op, backward_fn, tape, index):
         self.value = value
@@ -48,15 +59,17 @@ class Node:
         self.backward_fn = backward_fn
         self.tape = tape
         self.index = index
+        self.param = None
 
     def __repr__(self):
         return f"Node(op={self.op!r}, shape={np.shape(self.value)}, index={self.index})"
 
 
 class Param:
-    """A persistent trainable array with its latest gradient."""
+    """A persistent trainable array with its latest gradient (None until a
+    backward on a tape that watches it)."""
 
-    __slots__ = ("value", "grad", "name")
+    __slots__ = ("value", "grad", "name", "_grad_buffer")
 
     def __init__(self, value, name=""):
         value = np.asarray(value, dtype=np.float64)
@@ -65,62 +78,77 @@ class Param:
         self.value = value
         self.grad = None
         self.name = name
+        self._grad_buffer = np.empty_like(value)
 
     def __repr__(self):
         return f"Param(name={self.name!r}, shape={self.value.shape})"
 
 
 class Tape:
-    """Ordered record of one forward pass; every node's parents precede it."""
+    """Ordered record of one forward pass; every node's parents precede it.
+    A ``grad=False`` tape records values only; its nodes have index -1."""
 
-    def __init__(self):
-        self.nodes = []
-        self._watched = {}
+    def __init__(self, grad=True):
+        self.nodes = [] if grad else None
+        self._watched = {} if grad else None
 
     def _record(self, value, op, backward_fn):
-        node = Node(np.asarray(value, dtype=np.float64), op, backward_fn, self,
-                    len(self.nodes))
-        self.nodes.append(node)
+        if type(value) is not np.ndarray:  # a numpy scalar from a 0-d op
+            value = np.asarray(value, dtype=np.float64)
+        nodes = self.nodes
+        if nodes is None:
+            return Node(value, op, None, self, -1)
+        node = Node(value, op, backward_fn, self, len(nodes))
+        nodes.append(node)
         return node
 
     def constant(self, value):
         """A leaf node whose gradient is tracked but feeds nothing."""
-        return self._record(value, "const", None)
+        return self._record(np.asarray(value, dtype=np.float64), "const", None)
 
     def watch(self, param):
         """Bind a Param as a leaf node; repeat calls return the same node."""
-        node = self._watched.get(param)
+        watched = self._watched
+        if watched is None:
+            return self._record(param.value, "param", None)
+        node = watched.get(param)
         if node is None:
-            node = self._record(param.value, "param", None)
-            self._watched[param] = node
+            nodes = self.nodes
+            node = watched[param] = Node(param.value, "param", None, self, len(nodes))
+            node.param = param
+            nodes.append(node)
         return node
 
     def backward(self, root):
         """Accumulate d(root)/d(node) into every node at or before root.
 
         ``root`` must be a scalar node on this tape. Each node's gradient is
-        allocated when the first contribution reaches it; a node nothing
-        reached runs no backward rule, and ends the pass with an all-zero
-        gradient. After the pass, watched Params carry their gradients in
-        ``.grad`` and the tape is released: it is single-use, and calling
+        set when the first contribution reaches it; a node nothing reached
+        runs no backward rule, and ends the pass with an all-zero gradient.
+        After the pass, every watched Param's ``.grad`` is its own gradient
+        array, and the tape is released: it is single-use, and calling
         ``backward`` on it again raises ``ValueError``.
         """
-        if self.nodes is None:
-            raise ValueError("tape was already released; record a new tape")
+        nodes = self.nodes
+        if nodes is None:
+            raise ValueError("tape was already released or records no gradients "
+                             "(grad=False); record a new tape")
         if root.tape is not self:
             raise ValueError("backward root belongs to a different tape")
-        if np.ndim(root.value) != 0:
-            raise ValueError(f"backward root must be scalar, got shape {np.shape(root.value)}")
+        if root.value.ndim != 0:
+            raise ValueError(f"backward root must be scalar, got shape {root.value.shape}")
         try:
-            root.grad = np.ones_like(root.value)
-            for node in reversed(self.nodes[: root.index + 1]):
-                if node.grad is not None and node.backward_fn is not None:
-                    node.backward_fn(node.grad)
-            for node in self.nodes:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.value)
-            for param, node in self._watched.items():
-                param.grad = node.grad
+            _accumulate(root, np.ones(root.value.shape))
+            # A node's consumers all come after it, so a node still without a
+            # gradient when the walk reaches it is one the root never reaches.
+            for node in reversed(nodes[: root.index + 1]):
+                grad = node.grad
+                if grad is None:
+                    _zero_fill(node)
+                elif node.backward_fn is not None:
+                    node.backward_fn(grad)
+            for node in nodes[root.index + 1:]:
+                _zero_fill(node)
         finally:
             self.release()
 
@@ -131,22 +159,52 @@ class Tape:
         self._watched = None
 
 
-def _accumulate(node, grad):
+def _accumulate(node, grad, view=False):
     """Add one gradient contribution to ``node``.
 
-    The first contribution is copied, never kept: it may be another node's
-    gradient or a view of one, which a later ``+=`` must not change.
+    A first contribution is kept, unless ``view`` says it is (a view of) an
+    array something else owns, which a later ``+=`` must not change: then
+    it is copied. A watched Param's first contribution goes into the
+    Param's own gradient array, if the rule did not compute it there.
     """
-    if node.grad is None:
+    if node.grad is not None:
+        node.grad += grad
+    elif node.param is not None:
+        buffer = node.param._grad_buffer
+        if grad is not buffer:
+            buffer[...] = grad
+        node.grad = node.param.grad = buffer
+    elif view or type(grad) is not np.ndarray:
         node.grad = np.array(grad, dtype=np.float64)
     else:
-        node.grad += grad
+        node.grad = grad
+
+
+def _target(node):
+    """The ``out`` array for a contribution to ``node``: the Param's own
+    gradient array on a watched Param's first touch, else None (allocate)."""
+    if node.grad is None and node.param is not None:
+        return node.param._grad_buffer
+    return None
+
+
+def _zero_fill(node):
+    """Give a node the root never reached an all-zero gradient."""
+    if node.param is not None:
+        buffer = node.param._grad_buffer
+        buffer.fill(0.0)
+        node.grad = node.param.grad = buffer
+    else:
+        node.grad = np.zeros_like(node.value)
 
 
 def relu(x):
     """Elementwise max(0, v); the subgradient at 0 is 0."""
     def backward_fn(out_grad):
-        _accumulate(x, out_grad * (x.value > 0))
+        # A 0/1 float mask: the same products as a bool mask, computed faster.
+        grad = np.greater(x.value, 0.0, out=np.empty(x.value.shape), casting="unsafe")
+        grad *= out_grad
+        _accumulate(x, grad)
 
     return x.tape._record(np.maximum(x.value, 0.0), "relu", backward_fn)
 
@@ -154,18 +212,23 @@ def relu(x):
 def _stable_sigmoid_values(v):
     """1 / (1 + e) where v >= 0 and e / (1 + e) elsewhere, with e = exp(-|v|)
     (no overflow), in one buffer; a 0-d v gives a 0-d array."""
-    e = np.exp(-np.abs(v), out=np.empty(np.shape(v)))
+    e = np.exp(-np.abs(v), out=np.empty(v.shape))
     d = 1.0 + e
     np.divide(e, d, out=e)
     return np.divide(1.0, d, out=e, where=v >= 0)
 
 
+# The true sigmoid never reaches either end of (0, 1), so saturated outputs
+# are rounded to the nearest representable interior double.
+_SIGMOID_LOW = np.nextafter(0.0, 1.0)
+_SIGMOID_HIGH = np.nextafter(1.0, 0.0)
+
+
 def sigmoid(x):
     """Numerically stable logistic function; output stays inside (0, 1)."""
-    # The true sigmoid never reaches either end of (0, 1), so round saturated
-    # outputs to the nearest representable interior double.
-    value = np.clip(_stable_sigmoid_values(x.value),
-                    np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    value = _stable_sigmoid_values(x.value)
+    np.maximum(value, _SIGMOID_LOW, out=value)
+    np.minimum(value, _SIGMOID_HIGH, out=value)
 
     def backward_fn(out_grad):
         _accumulate(x, out_grad * value * (1.0 - value))
@@ -175,8 +238,8 @@ def sigmoid(x):
 
 def multiply(a, b):
     """Elementwise product of two same-shape nodes."""
-    if np.shape(a.value) != np.shape(b.value):
-        raise ValueError(f"multiply shape mismatch: {np.shape(a.value)} vs {np.shape(b.value)}")
+    if a.value.shape != b.value.shape:
+        raise ValueError(f"multiply shape mismatch: {a.value.shape} vs {b.value.shape}")
 
     def backward_fn(out_grad):
         _accumulate(a, out_grad * b.value)
@@ -187,12 +250,12 @@ def multiply(a, b):
 
 def add(a, b):
     """Elementwise sum of two same-shape nodes."""
-    if np.shape(a.value) != np.shape(b.value):
-        raise ValueError(f"add shape mismatch: {np.shape(a.value)} vs {np.shape(b.value)}")
+    if a.value.shape != b.value.shape:
+        raise ValueError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")
 
     def backward_fn(out_grad):
-        _accumulate(a, out_grad)
-        _accumulate(b, out_grad)
+        _accumulate(a, out_grad, view=True)
+        _accumulate(b, out_grad, view=True)
 
     return a.tape._record(a.value + b.value, "add", backward_fn)
 
@@ -209,7 +272,7 @@ def scale(x, c):
 
 def reshape(x, shape):
     def backward_fn(out_grad):
-        _accumulate(x, out_grad.reshape(x.value.shape))
+        _accumulate(x, out_grad.reshape(x.value.shape), view=True)
 
     return x.tape._record(x.value.reshape(shape), "reshape", backward_fn)
 
@@ -217,21 +280,22 @@ def reshape(x, shape):
 def vsum(x):
     """Sum all entries of a node into a scalar."""
     def backward_fn(out_grad):
-        _accumulate(x, np.broadcast_to(out_grad, x.value.shape))
+        _accumulate(x, np.broadcast_to(out_grad, x.value.shape), view=True)
 
     return x.tape._record(x.value.sum(), "sum", backward_fn)
 
 
 def concat(parts, axis=-1):
     """Concatenate nodes along an axis (used to join dense and embedded features)."""
-    sizes = [p.value.shape[axis] for p in parts]
-    offsets = np.cumsum(sizes)[:-1]
+    value = np.concatenate([p.value for p in parts], axis=axis)
+    leading = (slice(None),) * (axis % value.ndim)
 
     def backward_fn(out_grad):
-        for part, piece in zip(parts, np.split(out_grad, offsets, axis=axis)):
-            _accumulate(part, piece)
+        stop = 0
+        for part in parts:
+            start, stop = stop, stop + part.value.shape[axis]
+            _accumulate(part, out_grad[(*leading, slice(start, stop))], view=True)
 
-    value = np.concatenate([p.value for p in parts], axis=axis)
     return parts[0].tape._record(value, "concat", backward_fn)
 
 
@@ -284,8 +348,8 @@ def dense_forward(layer, x):
     value += layer.biases.value
 
     def backward_fn(out_grad):
-        _accumulate(w, out_grad.T @ x.value)
-        _accumulate(b, out_grad.sum(axis=0))
+        _accumulate(w, np.matmul(out_grad.T, x.value, out=_target(w)))
+        _accumulate(b, np.add.reduce(out_grad, axis=0, out=_target(b)))
         _accumulate(x, out_grad @ layer.weights.value)
 
     return tape._record(value, "dense", backward_fn)
@@ -309,7 +373,8 @@ class EmbeddingTable:
     def lookup(self, tape, indices):
         """Gather rows for an int index batch (n,) -> (n, dim)."""
         indices = np.asarray(indices)
-        if indices.size and (indices.min() < 0 or indices.max() >= self.vocab_size):
+        # A negative index wraps to a huge unsigned one, so one max checks both ends.
+        if indices.size and indices.astype(np.uint64).max() >= self.vocab_size:
             raise ValueError(
                 f"embedding index out of range [0, {self.vocab_size}): "
                 f"min={indices.min()}, max={indices.max()}")
@@ -319,7 +384,7 @@ class EmbeddingTable:
             # Scatter-add as one bincount over flat (row, column) bins: each
             # bin sums its contributions in index order from 0.0, the same
             # operations as np.add.at into a zero gradient.
-            bins = (indices.reshape(-1, 1) * self.dim + np.arange(self.dim)).ravel()
+            bins = np.add.outer(indices * self.dim, np.arange(self.dim)).ravel()
             grad = np.bincount(bins, weights=out_grad.ravel(), minlength=self.rows.value.size)
             _accumulate(rows, grad.reshape(self.rows.value.shape))
 
@@ -338,19 +403,22 @@ def weighted_bce(pred, labels, weights):
     """
     labels = np.asarray(labels, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    if labels.shape != np.shape(pred.value) or weights.shape != np.shape(pred.value):
+    if labels.shape != pred.value.shape or weights.shape != pred.value.shape:
         raise ValueError(
-            f"weighted_bce shape mismatch: pred {np.shape(pred.value)}, "
+            f"weighted_bce shape mismatch: pred {pred.value.shape}, "
             f"labels {labels.shape}, weights {weights.shape}")
-    if np.any(weights < 0):
+    if not (weights >= 0).all():  # also false for NaN
         raise ValueError("weighted_bce weights must be nonnegative")
-    p = np.clip(pred.value, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    losses = -(labels * np.log(p) + (1.0 - labels) * np.log1p(-p))
-    value = np.sum(weights * losses)
+    p = np.minimum(np.maximum(pred.value, CLAMP_EPS), 1.0 - CLAMP_EPS)
+    negatives = 1.0 - labels
+    # Negating the sum instead of every loss term, and subtracting instead of
+    # adding a negated term, round exactly as the textbook forms do.
+    value = -np.add.reduce(weights * (labels * np.log(p) + negatives * np.log1p(-p)),
+                           axis=None)
 
     def backward_fn(out_grad):
         in_range = (pred.value > CLAMP_EPS) & (pred.value < 1.0 - CLAMP_EPS)
-        dp = weights * (-(labels / p) + (1.0 - labels) / (1.0 - p)) * in_range
+        dp = weights * (negatives / (1.0 - p) - labels / p) * in_range
         _accumulate(pred, out_grad * dp)
 
     return pred.tape._record(value, "weighted_bce", backward_fn)
@@ -359,41 +427,54 @@ def weighted_bce(pred, labels, weights):
 class Adam:
     """First/second-moment adaptive optimizer with bias correction.
 
-    Both moments live in flat arrays over all parameters (``_m`` and ``_v``
-    hold per-parameter views of them). Each step gathers every gradient into
-    one preallocated buffer, checks it for finiteness once and updates it in
-    one vectorised pass; each parameter's array is then updated in place, so
-    callers holding a ``Param.value`` keep seeing the live weights.
+    Adam adopts its parameters when built: each ``Param.value`` and the
+    gradient array backward writes into become views of flat arrays over
+    all parameters (``_m`` and ``_v`` hold per-parameter views of the flat
+    moments). Each step copies in any ``Param.grad`` a caller rebound,
+    checks the flat gradient for finiteness once and updates every
+    parameter in place in one vectorised pass.
     """
 
     def __init__(self, params, lr):
         self.params = list(params)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ValueError("Adam parameters must be distinct")
         self.lr = float(lr)
         self.t = 0
         n = sum(p.value.size for p in self.params)
+        self._value = np.empty(n)
         self._grad = np.empty(n)
         self._step = np.empty(n)
         self._denom = np.empty(n)
         self._m_flat = np.zeros(n)
         self._v_flat = np.zeros(n)
-        self._m, self._v, self._steps = [], [], []
+        self._values, self._grads, self._m, self._v = [], [], [], []
         start = 0
         for p in self.params:
             end = start + p.value.size
-            self._m.append(self._m_flat[start:end].reshape(p.value.shape))
-            self._v.append(self._v_flat[start:end].reshape(p.value.shape))
-            self._steps.append(self._step[start:end].reshape(p.value.shape))
+            value, grad, m, v = (flat[start:end].reshape(p.value.shape) for flat in
+                                 (self._value, self._grad, self._m_flat, self._v_flat))
+            value[...] = p.value
+            p.value, p._grad_buffer = value, grad
+            self._values.append(value)
+            self._grads.append(grad)
+            self._m.append(m)
+            self._v.append(v)
             start = end
 
     def step(self):
-        grads = [p.grad for p in self.params]
-        for param, g in zip(self.params, grads):
-            if g is None:
-                raise ValueError(f"parameter {param.name!r} has no gradient; run backward first")
+        for param, value, grad in zip(self.params, self._values, self._grads):
+            if param.grad is not grad:
+                if param.grad is None:
+                    raise ValueError(
+                        f"parameter {param.name!r} has no gradient; run backward first")
+                grad[...] = param.grad
+            if param.value is not value:
+                raise ValueError(f"parameter {param.name!r} was rebound after this "
+                                 "optimizer adopted it")
         g = self._grad
-        np.concatenate([np.ravel(grad) for grad in grads], out=g)
         if not np.isfinite(g).all():
-            bad = next(p for p in self.params if not np.all(np.isfinite(p.grad)))
+            bad = next(p for p in self.params if not np.isfinite(p.grad).all())
             raise FloatingPointError(
                 f"non-finite gradient for {bad.name!r}: training diverged")
         self.t += 1
@@ -415,8 +496,7 @@ class Adam:
         np.sqrt(denom, out=denom)
         denom += ADAM_EPS
         step /= denom
-        for param, param_step in zip(self.params, self._steps):
-            param.value -= param_step
+        self._value -= step
 
 
 def gradient_check(loss_fn, params, h=1e-5, max_coords_per_param=None, rng=None):

@@ -245,6 +245,18 @@ def _seed_datasets(cfg, seed_idx):
     return _train_dataset(cfg, seed_idx), _eval_dataset(cfg, seed_idx, 1)
 
 
+def _unscorable(eval_ds, seed_idx):
+    """Why the eval metrics cannot score ``eval_ds``, or None if they can:
+    PR-AUC and the calibration ratio need a conversion and a non-conversion
+    with positive weight."""
+    weighted = eval_ds.weight > 0
+    converted = eval_ds.conversion > 0
+    if (weighted & converted).any() and (weighted & ~converted).any():
+        return None
+    return (f"seed {seed_idx}: eval day {int(eval_ds.day[0])} cannot be scored: it needs "
+            "a conversion and a non-conversion with positive weight")
+
+
 def _train_one(cfg, model_name, seed_idx, train_ds, eval_ds):
     model = md.build(model_name, cfg.net,
                      _model_init_seed(cfg.base_seed, seed_idx, model_name))
@@ -336,11 +348,16 @@ class AblationReport:
 
 def _ablation_seed(cfg, seed_idx):
     """Train every selected model on one seed's data; a failed run is
-    recorded, not raised. Returns (records, errors, extras, log lines)."""
+    recorded, not raised, and an eval day the metrics cannot score fails
+    every run before any trains. Returns (records, errors, extras, log
+    lines)."""
     records, errors, extras, lines = {}, {}, {}, []
     train_ds, eval_ds = _seed_datasets(cfg, seed_idx)
+    unscorable = _unscorable(eval_ds, seed_idx)
     for model_name in cfg.models:
         try:
+            if unscorable is not None:
+                raise ValueError(unscorable)
             model, history = _train_one(cfg, model_name, seed_idx, train_ds, eval_ds)
             record = history.metrics
             records[(model_name, seed_idx)] = record
@@ -511,9 +528,14 @@ class DriftReport:
 
 def _drift_seed(cfg, seed_idx, models):
     """Train each model on one seed's data and score it on every offset day.
-    Returns ((model, seed, offset) -> joint CE, log lines)."""
+    Returns ((model, seed, offset) -> joint CE, log lines); an offset day
+    the metrics cannot score raises ``RunFailed`` before any training."""
     train_ds = _train_dataset(cfg, seed_idx)
     eval_days = {offset: _eval_dataset(cfg, seed_idx, offset) for offset in DRIFT_OFFSETS}
+    for ds in eval_days.values():
+        unscorable = _unscorable(ds, seed_idx)
+        if unscorable is not None:
+            raise RunFailed(unscorable)
     guard_eval = eval_days[DRIFT_OFFSETS[0]]
     ces, lines = {}, []
     for model_name in models:

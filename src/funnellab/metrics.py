@@ -66,8 +66,8 @@ def _validate_pred_inputs(preds, labels, weights):
     if not (preds.shape == labels.shape == weights.shape):
         raise ValueError(
             f"shape mismatch: preds {preds.shape}, labels {labels.shape}, weights {weights.shape}")
-    if np.any(weights < 0):
-        raise ValueError("weights must be nonnegative")
+    if not (np.isfinite(weights) & (weights >= 0)).all():
+        raise ValueError("weights must be finite and nonnegative")
     return preds, labels, weights
 
 

@@ -66,7 +66,7 @@ def evaluate(model, ds):
 
 
 def _check_finite(value, model_name, epoch):
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise FloatingPointError(
             f"non-finite loss ({value}) for {model_name} at epoch {epoch}: run aborted")
 

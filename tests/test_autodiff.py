@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funnellab import autodiff as ad
+from funnellab import funnel as fd
 from funnellab import models as md
+from funnellab import training as tr
 
 
 def _node(tape, values):
@@ -116,6 +118,11 @@ class TestWeightedBce:
         with pytest.raises(ValueError):
             ad.weighted_bce(_node(tape, 0.5), 1.0, -1.0)
 
+    def test_nan_weight_rejected(self):
+        tape = ad.Tape()
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            ad.weighted_bce(_node(tape, [0.5, 0.5]), [1.0, 0.0], [1.0, np.nan])
+
     def test_zero_weight_contributes_zero_gradient(self):
         rng = np.random.default_rng(3)
         layer = ad.DenseLayer(2, 1, rng)
@@ -216,8 +223,8 @@ class TestBackward:
         tapes = []
 
         class RecordedTape(ad.Tape):
-            def __init__(self):
-                super().__init__()
+            def __init__(self, grad=True):
+                super().__init__(grad)
                 tapes.append(weakref.ref(self))
 
         monkeypatch.setattr(ad, "Tape", RecordedTape)
@@ -282,6 +289,19 @@ class TestBackward:
         assert result["passed"], result
 
 
+def reference_step(params, ms, vs, t, lr):
+    """One per-parameter Adam update, the textbook form of ``Adam.step``."""
+    b1, b2 = ad.ADAM_BETA1, ad.ADAM_BETA2
+    bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    for p, m, v in zip(params, ms, vs):
+        g = p.grad
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + ad.ADAM_EPS)
+
+
 class TestOptimizers:
     def test_adam_zero_gradient_leaves_params(self):
         p = ad.Param(np.array([1.0, -2.0]), "p")
@@ -341,23 +361,12 @@ class TestOptimizers:
 
     def test_flat_adam_matches_per_parameter_reference(self):
         """The flat update equals the per-parameter Adam loop bit for bit."""
-        def reference_step(params, ms, vs, t, lr):
-            b1, b2 = ad.ADAM_BETA1, ad.ADAM_BETA2
-            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-            for p, m, v in zip(params, ms, vs):
-                g = p.grad
-                m *= b1
-                m += (1.0 - b1) * g
-                v *= b2
-                v += (1.0 - b2) * (g * g)
-                p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + ad.ADAM_EPS)
-
         rng = np.random.default_rng(4)
         shapes = [(3, 4), (4,), (5, 2), (1,)]
         flat = [ad.Param(rng.standard_normal(s), f"p{i}") for i, s in enumerate(shapes)]
         ref = [ad.Param(p.value.copy(), p.name) for p in flat]
-        held = [p.value for p in flat]
         opt = ad.Adam(flat, lr=0.03)
+        held = [p.value for p in flat]
         ms = [np.zeros(s) for s in shapes]
         vs = [np.zeros(s) for s in shapes]
         for t in range(1, 6):
@@ -370,8 +379,109 @@ class TestOptimizers:
                 np.testing.assert_array_equal(a.value, b.value)
                 np.testing.assert_array_equal(m_view, m)
                 np.testing.assert_array_equal(v_view, v)
-        # parameters are updated in place, never rebound
+        # once adopted, parameters are updated in place, never rebound
         assert all(p.value is h for p, h in zip(flat, held))
+
+
+# Graph-building steps for the ownership property: (op, first operand, second
+# operand), operands picked among the nodes built so far.
+GRAPH_STEPS = st.lists(st.tuples(st.sampled_from(["add_self", "add", "mul", "reshape",
+                                                  "concat", "sum"]),
+                                 st.integers(0, 2**16), st.integers(0, 2**16)),
+                       min_size=1, max_size=12)
+
+
+class TestGradientOwnership:
+    @settings(max_examples=80, deadline=None)
+    @given(steps=GRAPH_STEPS, seed=st.integers(0, 2**32 - 1), adopt=st.booleans())
+    def test_no_two_node_gradients_share_memory(self, steps, seed, adopt):
+        """Rules that forward their own gradient or a view of it (add,
+        reshape, concat, sum) hand over copies, and watched parameters get
+        their own arrays, so no two nodes' gradients share memory."""
+        rng = np.random.default_rng(seed)
+        params = [ad.Param(rng.standard_normal((2, 3)), "a"),
+                  ad.Param(rng.standard_normal((3, 2)), "b")]
+        if adopt:  # gradient arrays become views of one flat buffer
+            ad.Adam(params, lr=0.1)
+        tape = ad.Tape()
+        built = [tape.watch(p) for p in params] + [tape.constant(rng.standard_normal((2, 3)))]
+        for op, i, j in steps:
+            x = built[i % len(built)]
+            alike = [n for n in built if n.value.shape == x.value.shape]
+            rows = [n for n in built if n.value.ndim == 2 and x.value.ndim == 2
+                    and n.value.shape[0] == x.value.shape[0]]
+            if op == "add_self":
+                built.append(ad.add(x, x))
+            elif op in ("add", "mul"):
+                y = alike[j % len(alike)]
+                built.append((ad.add if op == "add" else ad.multiply)(x, y))
+            elif op == "reshape":
+                built.append(ad.reshape(x, x.value.shape[::-1]))
+            elif op == "concat" and rows:
+                built.append(ad.concat([x, rows[j % len(rows)]]))
+            elif op == "sum":
+                built.append(ad.vsum(x))
+        scalars = [ad.vsum(n) if n.value.ndim else n for n in built[-3:]]
+        root = scalars[0]
+        for term in scalars[1:]:
+            root = ad.add(root, term)
+        nodes = list(tape.nodes)
+        tape.backward(root)
+        for k, a in enumerate(nodes):
+            for b in nodes[k + 1:]:
+                assert not np.shares_memory(a.grad, b.grad), (a, b)
+
+    def test_unreached_parameter_gets_zero_gradient_every_step(self):
+        """A watched parameter the root does not reach gets an exactly-zero
+        gradient, never what an earlier step left in its array."""
+        rng = np.random.default_rng(5)
+        used = ad.Param(rng.standard_normal(4), "used")
+        unused = ad.Param(rng.standard_normal(4), "unused")
+        opt = ad.Adam([used, unused], lr=0.1)
+        for step in range(4):
+            tape = ad.Tape()
+            a, b = tape.watch(used), tape.watch(unused)
+            reaches_both = step % 2 == 0
+            tape.backward(ad.vsum(ad.multiply(a, b) if reaches_both else a))
+            if reaches_both:
+                assert unused.grad.any()
+            else:
+                assert unused.grad.tobytes() == np.zeros(4).tobytes()
+            opt.step()
+
+    @pytest.mark.parametrize("name", md.MODEL_NAMES)
+    def test_train_matches_per_parameter_reference(self, name):
+        """``train`` leaves the parameter bytes of a loop that runs
+        ``batch_loss``, ``backward`` and ``reference_step`` on copied
+        gradients, one optimizer state per loss job."""
+        funnel = fd.make_funnel_config(dense_dim=4, n_categorical=1, vocab_size=6,
+                                       base_click_rate=0.3, base_conv_rate=0.3,
+                                       dense_signal=1.0, cat_signal=0.5, n_days=2, seed=3)
+        net = md.NetworkConfig(dense_input_dim=4, n_categorical=1, vocab_size=6,
+                               embedding_dim=3, shared_layer_dims=(8, 6),
+                               head_layer_dims=(4, 4))
+        train_ds = fd.generate_day(funnel, 0, 300, seed=10)
+        eval_ds = fd.generate_day(funnel, 1, 300, seed=11)
+        cfg = tr.TrainConfig(learning_rate=0.05, batch_size=32, epochs=2, seed=7)
+        trained, _ = tr.train(md.build(name, net, seed=5), train_ds, eval_ds, cfg)
+
+        model = md.build(name, net, seed=5)
+        jobs = [(heads, ds, params, rng, [np.zeros(p.value.shape) for p in params],
+                 [np.zeros(p.value.shape) for p in params], [0])
+                for heads, ds, params, rng in tr.loss_jobs(model, train_ds, cfg.seed)]
+        for _ in range(cfg.epochs):
+            for heads, ds, params, rng, ms, vs, t in jobs:
+                for idx in tr._epoch_batches(rng, len(ds), cfg.batch_size):
+                    tape = ad.Tape()
+                    total, _, _ = tr.batch_loss(model, tape, ds, idx, heads)
+                    tape.backward(total)
+                    for p in params:
+                        p.grad = p.grad.copy()
+                    t[0] += 1
+                    reference_step(params, ms, vs, t[0], cfg.learning_rate)
+        assert sum(t[0] for *_, t in jobs) > 10
+        for a, b in zip(trained.parameters(), model.parameters()):
+            assert a.value.tobytes() == b.value.tobytes(), a.name
 
 
 class TestDeterminism:

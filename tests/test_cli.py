@@ -521,6 +521,30 @@ class TestMainCli:
         assert err[0].startswith("invalid config: cannot create output directory ")
         assert "blocked" in err[0]
 
+    @pytest.mark.parametrize("command", ["ablation", "drift"])
+    def test_unscorable_eval_day_fails_before_training(self, tmp_path, monkeypatch, capsys,
+                                                       command):
+        """A one-row eval day holds a conversion or a non-conversion, never
+        both, so the metrics cannot score it: every run fails, exit 1, and
+        the message names the seed and the day; no model trains."""
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(tr, "train", no_training)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**TINY, "models": ["IP", "ESMM"], "n_eval": 1}))
+        code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        out, err = capsys.readouterr()
+        reason = (f"seed 0: eval day {TINY['train_days'] + (0 if command == 'ablation' else 1)}"
+                  " cannot be scored: it needs a conversion and a non-conversion with "
+                  "positive weight")
+        if command == "ablation":
+            assert f"seed 0 IP: FAILED ({reason})" in out.splitlines()
+            assert f"seed 1 ESMM: FAILED (seed 1: " in out
+        else:
+            assert err.splitlines() == [f"drift run failed: {reason}"]
+
     def test_baseline_failing_every_seed_keeps_report(self, tmp_path, capsys, recwarn):
         """With no baseline stats the per-run rows are still written, the
         stats output says why, and the command exits 1 without a traceback."""

@@ -226,3 +226,15 @@ class TestMetricsRecord:
     def test_pr_auc_bounds_enforced(self):
         with pytest.raises(ValueError):
             metrics.MetricsRecord(joint_ce=0.1, joint_pr_auc=1.5, calibration_ratio=1.0)
+
+
+class TestWeightChecks:
+    @pytest.mark.parametrize("metric", [metrics.weighted_ce, metrics.pr_auc,
+                                        metrics.calibration_ratio],
+                             ids=["weighted_ce", "pr_auc", "calibration_ratio"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_bad_weight_rejected(self, metric, bad):
+        """A weight the funnel's Dataset would refuse is refused here too,
+        instead of turning the score into NaN."""
+        with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+            metric([0.5, 0.2], [1.0, 0.0], [bad, 1.0])
