@@ -20,9 +20,8 @@ backward writes where the update reads.
 A tape is single-use: ``backward`` ends by calling ``Tape.release``, which
 drops the tape's node list and so breaks the node <-> tape reference cycle.
 A released tape is freed by reference counting as soon as its nodes are, and
-a second ``backward`` on it raises ``ValueError``. ``Tape(grad=False)``
-records values only (no node list, no watched map, no backward rule kept),
-so it makes no reference cycle; prediction uses it.
+a second ``backward`` on it raises ``ValueError``. Forward-only callers call
+``release`` once they have read the values they need.
 
 Tapes are single-threaded. Distinct tapes/models share no mutable state, so
 independent training runs can execute concurrently.
@@ -85,19 +84,16 @@ class Param:
 
 
 class Tape:
-    """Ordered record of one forward pass; every node's parents precede it.
-    A ``grad=False`` tape records values only; its nodes have index -1."""
+    """Ordered record of one forward pass; every node's parents precede it."""
 
-    def __init__(self, grad=True):
-        self.nodes = [] if grad else None
-        self._watched = {} if grad else None
+    def __init__(self):
+        self.nodes = []
+        self._watched = {}
 
     def _record(self, value, op, backward_fn):
         if type(value) is not np.ndarray:  # a numpy scalar from a 0-d op
             value = np.asarray(value, dtype=np.float64)
         nodes = self.nodes
-        if nodes is None:
-            return Node(value, op, None, self, -1)
         node = Node(value, op, backward_fn, self, len(nodes))
         nodes.append(node)
         return node
@@ -108,13 +104,10 @@ class Tape:
 
     def watch(self, param):
         """Bind a Param as a leaf node; repeat calls return the same node."""
-        watched = self._watched
-        if watched is None:
-            return self._record(param.value, "param", None)
-        node = watched.get(param)
+        node = self._watched.get(param)
         if node is None:
             nodes = self.nodes
-            node = watched[param] = Node(param.value, "param", None, self, len(nodes))
+            node = self._watched[param] = Node(param.value, "param", None, self, len(nodes))
             node.param = param
             nodes.append(node)
         return node
@@ -131,8 +124,7 @@ class Tape:
         """
         nodes = self.nodes
         if nodes is None:
-            raise ValueError("tape was already released or records no gradients "
-                             "(grad=False); record a new tape")
+            raise ValueError("tape was already released; record a new tape")
         if root.tape is not self:
             raise ValueError("backward root belongs to a different tape")
         if root.value.ndim != 0:
@@ -430,9 +422,11 @@ class Adam:
     Adam adopts its parameters when built: each ``Param.value`` and the
     gradient array backward writes into become views of flat arrays over
     all parameters (``_m`` and ``_v`` hold per-parameter views of the flat
-    moments). Each step copies in any ``Param.grad`` a caller rebound,
-    checks the flat gradient for finiteness once and updates every
-    parameter in place in one vectorised pass.
+    moments). Each step copies in any ``Param.grad`` a caller rebound (it
+    must have the parameter's shape), checks the flat gradient for
+    finiteness once and updates every parameter in place in one vectorised
+    pass. A parameter whose ``value`` is rebound after adoption, for example
+    by another Adam adopting it, makes ``step`` raise.
     """
 
     def __init__(self, params, lr):
@@ -448,7 +442,7 @@ class Adam:
         self._denom = np.empty(n)
         self._m_flat = np.zeros(n)
         self._v_flat = np.zeros(n)
-        self._values, self._grads, self._m, self._v = [], [], [], []
+        self._adopted, self._m, self._v = [], [], []
         start = 0
         for p in self.params:
             end = start + p.value.size
@@ -456,18 +450,24 @@ class Adam:
                                  (self._value, self._grad, self._m_flat, self._v_flat))
             value[...] = p.value
             p.value, p._grad_buffer = value, grad
-            self._values.append(value)
-            self._grads.append(grad)
+            self._adopted.append((p, value, grad))
             self._m.append(m)
             self._v.append(v)
             start = end
 
     def step(self):
-        for param, value, grad in zip(self.params, self._values, self._grads):
+        # Backward binds each Param.grad to its slice of the flat gradient;
+        # this loop, two identity tests per parameter, is what honouring a
+        # rebound Param.grad and catching a rebound Param.value cost.
+        for param, value, grad in self._adopted:
             if param.grad is not grad:
                 if param.grad is None:
                     raise ValueError(
                         f"parameter {param.name!r} has no gradient; run backward first")
+                if np.shape(param.grad) != grad.shape:
+                    raise ValueError(
+                        f"gradient for {param.name!r} has shape {np.shape(param.grad)}, "
+                        f"the parameter has {grad.shape}")
                 grad[...] = param.grad
             if param.value is not value:
                 raise ValueError(f"parameter {param.name!r} was rebound after this "

@@ -223,7 +223,7 @@ class Model:
         """Raw-array predictions for a batch; no gradients retained.
 
         Rows run through ``forward_heads`` in blocks of PREDICT_BLOCK_ROWS,
-        one forward-only tape per block (``Tape(grad=False)``);
+        one tape per block, released as soon as its values are copied out;
         the last block takes the remainder (so it holds up to twice as many
         rows), and a batch shorter than one block is one forward pass.
         """
@@ -233,12 +233,13 @@ class Model:
         stops = [*starts[1:], n]
         values = {}
         for start, stop in zip(starts, stops):
-            nodes = self.forward_heads(ad.Tape(grad=False), dense[start:stop],
-                                       cats[start:stop])
+            tape = ad.Tape()
+            nodes = self.forward_heads(tape, dense[start:stop], cats[start:stop])
             for name, node in nodes.items():
                 if name not in values:
                     values[name] = np.empty(n)
                 values[name][start:stop] = node.value
+            tape.release()
         return values
 
     def predict_dataset(self, ds):

@@ -223,8 +223,8 @@ class TestBackward:
         tapes = []
 
         class RecordedTape(ad.Tape):
-            def __init__(self, grad=True):
-                super().__init__(grad)
+            def __init__(self):
+                super().__init__()
                 tapes.append(weakref.ref(self))
 
         monkeypatch.setattr(ad, "Tape", RecordedTape)
@@ -358,6 +358,14 @@ class TestOptimizers:
             opt.step()
         for p in params:
             np.testing.assert_array_equal(p.value, np.ones_like(p.value))
+
+    def test_misshapen_rebound_gradient_rejected(self):
+        p = ad.Param(np.array([1.0, -2.0]), "p")
+        opt = ad.Adam([p], lr=0.1)
+        p.grad = np.array([1.0])
+        with pytest.raises(ValueError, match=r"'p' has shape \(1,\)"):
+            opt.step()
+        np.testing.assert_array_equal(p.value, [1.0, -2.0])
 
     def test_flat_adam_matches_per_parameter_reference(self):
         """The flat update equals the per-parameter Adam loop bit for bit."""
