@@ -225,13 +225,19 @@ def _model_init_seed(base_seed, seed_idx, model_name):
 
 
 def _train_dataset(cfg, seed_idx):
-    """One seed's training days, negatives downsampled, then shuffled."""
+    """One seed's training days, negatives downsampled, then shuffled.
+
+    Each day is downsampled as soon as it is drawn, so only one full day is
+    held at a time. One generator carries the downsampling stream across the
+    days, so the result equals downsampling their concatenation.
+    """
     data_seed, down_seed, shuffle_seed, _ = _seed_bundle(cfg.base_seed, seed_idx)
-    days = [fd.generate_day(cfg.funnel, day, cfg.n_train_per_day, data_seed)
+    down_rng = np.random.default_rng(down_seed)
+    days = [fd.downsample_negatives(
+                fd.generate_day(cfg.funnel, day, cfg.n_train_per_day, data_seed),
+                cfg.downsample_factor, down_rng)
             for day in range(cfg.train_days)]
-    train_ds = fd.Dataset.concat(days)
-    train_ds = fd.downsample_negatives(train_ds, cfg.downsample_factor, down_seed)
-    return fd.shuffle(train_ds, shuffle_seed)
+    return fd.shuffle(fd.Dataset.concat(days), shuffle_seed)
 
 
 def _eval_dataset(cfg, seed_idx, offset):
@@ -560,14 +566,15 @@ def run_drift(cfg, models=("IP", "ESMM"), log=None):
     standard eval day is offset 1, so decay is measured at offsets 2..6.
     Training scores each model on the offset-2 day, and that score is
     reused. A run that fails raises ``RunFailed`` naming its model and
-    seed: the per-offset means need every run.
+    seed: the per-offset means need every run. ``models`` is checked as the
+    config's model list is, before any seed runs.
     """
     needed = cfg.train_days + DRIFT_OFFSETS[-1]
     if cfg.funnel.n_days < needed:
         raise ValueError(
             f"drift needs funnel.n_days >= {needed}, got {cfg.funnel.n_days}")
+    models = replace(cfg, models=list(models)).models  # nonempty, known, distinct
     log = log or (lambda msg: None)
-    models = list(models)
     ces = {}
     for seed_ces, lines in _map_seeds(_drift_seed, cfg, models):
         ces.update(seed_ces)

@@ -27,6 +27,10 @@ from .autodiff import _stable_sigmoid_values as _sigmoid
 
 _DRIFT_TAG = 0x5EED
 _INTERCEPT_SAMPLE = 200_000
+# Rows of the intercept sample's dense features drawn at a time: only the two
+# logit vectors are kept, never the whole 200k x dense_dim sample. A multiple
+# of BLAS's row tile, so each row's dot product is its one-pass value.
+_INTERCEPT_BLOCK_ROWS = 8192
 _BISECT_MAX_STEPS = 200
 
 
@@ -153,12 +157,20 @@ def make_funnel_config(dense_dim=16, n_categorical=2, vocab_size=100,
         conv_cat[j] = cat_signal * c / max(c.std(), 1e-12)
 
     # Solve intercepts on a large sample so realized base rates match targets.
-    x = rng.standard_normal((_INTERCEPT_SAMPLE, dense_dim))
+    # The dense rows come in blocks, the same stream as one draw.
+    click_logits = np.empty(_INTERCEPT_SAMPLE)
+    conv_logits = np.empty(_INTERCEPT_SAMPLE)
+    for start in range(0, _INTERCEPT_SAMPLE, _INTERCEPT_BLOCK_ROWS):
+        stop = min(start + _INTERCEPT_BLOCK_ROWS, _INTERCEPT_SAMPLE)
+        x = rng.standard_normal((stop - start, dense_dim))
+        np.matmul(x, click_dense, out=click_logits[start:stop])
+        np.matmul(x, conv_dense, out=conv_logits[start:stop])
     cats = rng.integers(0, vocab_size, size=(_INTERCEPT_SAMPLE, n_categorical))
-    click_logits = x @ click_dense + _cat_contrib(click_cat, cats)
+    click_logits += _cat_contrib(click_cat, cats)
+    conv_logits += _cat_contrib(conv_cat, cats)
+    del cats  # only the logits are needed from here on
     click_intercept = _bisect_intercept(click_logits, base_click_rate)
     p_click = _sigmoid(click_logits + click_intercept)
-    conv_logits = x @ conv_dense + _cat_contrib(conv_cat, cats)
     conv_intercept = _bisect_intercept(conv_logits, base_conv_rate, weights=p_click)
 
     return FunnelConfig(
@@ -347,6 +359,11 @@ def downsample_negatives(ds, f, seed):
     weighted loss back to the full space in expectation. The conversion label
     is never consulted. Membership is an independent Bernoulli per example
     rather than an exact-count draw: simpler and unbiased.
+
+    ``seed`` may be a ``Generator``, which is used as is: calls on
+    consecutive datasets then continue one stream, and keep exactly the rows
+    one call on their concatenation would. ``cli._train_dataset`` relies on
+    this to downsample each training day as it is drawn.
     """
     if not 1 <= f < math.inf:  # also false for NaN
         raise ValueError(f"downsample factor must be finite and >= 1, got {f}")

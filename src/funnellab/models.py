@@ -157,19 +157,26 @@ class _Head:
         return out + self.out.params()
 
 
-def _as_batch(dense, cats):
+def _as_batch(net, dense, cats):
+    """A batch: dense (n, dense_input_dim) and integer cats (n, n_categorical),
+    exactly. Every training step passes here, so it reads attributes only."""
     dense = np.asarray(dense, dtype=np.float64)
-    cats = np.asarray(cats, dtype=np.int64)
-    if dense.ndim != 2:
-        raise ValueError("forward_heads expects a batch (n, dense_dim)")
-    return dense, cats
+    cats = np.asarray(cats)
+    if dense.ndim != 2 or dense.shape[1] != net.dense_input_dim:
+        raise ValueError(f"forward_heads expects a batch: dense must have shape "
+                         f"(n, {net.dense_input_dim}), got {dense.shape}")
+    if cats.shape != (len(dense), net.n_categorical) or cats.dtype.kind not in "iu":
+        raise ValueError(f"cats must be an integer array of shape "
+                         f"({len(dense)}, {net.n_categorical}), got {cats.dtype} {cats.shape}")
+    return dense, cats.astype(np.int64, copy=False)
 
 
 class Model:
     """A built design: towers, heads, and the prediction compositions."""
 
-    def __init__(self, characteristics, stacks, heads, wiring):
+    def __init__(self, characteristics, net, stacks, heads, wiring):
         self.characteristics = characteristics
+        self.net = net
         self._stacks = stacks          # name -> _Stack
         self._heads = heads            # name -> _Head
         self._wiring = wiring          # head name -> stack name
@@ -209,7 +216,7 @@ class Model:
         under it run. The joint output is the product of the click and
         conditional sigmoids when both are selected, or the direct head.
         """
-        dense, cats = _as_batch(dense, cats)
+        dense, cats = _as_batch(self.net, dense, cats)
         heads = tuple(self._heads) if heads is None else heads
         reps = {tower: self._stacks[tower].forward(tape, dense, cats)
                 for tower in dict.fromkeys(self._wiring[name] for name in heads)}
@@ -227,7 +234,7 @@ class Model:
         the last block takes the remainder (so it holds up to twice as many
         rows), and a batch shorter than one block is one forward pass.
         """
-        dense, cats = _as_batch(dense, cats)
+        dense, cats = _as_batch(self.net, dense, cats)
         n = len(dense)
         starts = range(0, n - PREDICT_BLOCK_ROWS + 1, PREDICT_BLOCK_ROWS) or [0]
         stops = [*starts[1:], n]
@@ -268,4 +275,4 @@ def build(name, net_config, seed):
             stacks[tower] = _Stack(net_config, rng, tower)
         heads[head] = _Head(stacks[tower].out_dim, net_config, rng, head)
         wiring[head] = tower
-    return Model(chars, stacks, heads, wiring)
+    return Model(chars, net_config, stacks, heads, wiring)

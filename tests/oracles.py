@@ -1,9 +1,9 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately avoid the package's vectorized code paths: plain python
-loops, explicit enumerations. They are the second route in every dual-route
-check, so they live with the tests, apart from the implementations they
-verify.
+loops, explicit enumerations, or a whole array where the package works in
+blocks. They are the second route in every dual-route check, so they live
+with the tests, apart from the implementations they verify.
 """
 
 
@@ -42,3 +42,34 @@ def brute_force_pr_auc(preds, labels, weights):
         if labels[i] > 0:
             total_positive += weights[i]
     return score / total_positive
+
+
+def whole_sample_intercepts(config, sample=200_000):
+    """``config`` with its intercepts solved on the whole intercept sample,
+    drawn in one piece: the stream of ``funnel.make_funnel_config``, without
+    its blocks. The generative weights are taken from ``config``; their draws
+    only advance the stream."""
+    import dataclasses
+
+    import numpy as np
+
+    from funnellab import funnel as fd
+
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xC0F1]))
+    rng.standard_normal(2 * config.dense_dim + 2 * config.n_categorical * config.vocab_size)
+    x = rng.standard_normal((sample, config.dense_dim))
+    cats = rng.integers(0, config.vocab_size, size=(sample, config.n_categorical))
+
+    def logits(dense_w, cat_table):
+        contrib = 0
+        for j in range(config.n_categorical):
+            contrib = contrib + cat_table[j][cats[:, j]]
+        return x @ dense_w + contrib
+
+    click_logits = logits(config.click_dense, config.click_cat)
+    click_intercept = fd._bisect_intercept(click_logits, config.base_click_rate_target)
+    p_click = fd._sigmoid(click_logits + click_intercept)
+    conv_intercept = fd._bisect_intercept(logits(config.conv_dense, config.conv_cat),
+                                          config.base_conv_rate_target, weights=p_click)
+    return dataclasses.replace(config, click_intercept=float(click_intercept),
+                               conv_intercept=float(conv_intercept))

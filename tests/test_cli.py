@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,37 @@ class TestPairedSeeds:
         a_train, _ = cli._seed_datasets(cfg, 0)
         b_train, _ = cli._seed_datasets(cfg, 1)
         assert not np.array_equal(a_train.dense[:100], b_train.dense[:100])
+
+
+class TestTrainDataset:
+    """Each training day is downsampled as it is drawn; the result is the
+    one that downsampling the concatenated days gives."""
+
+    def test_equals_downsampling_the_concatenated_days(self):
+        cfg = tiny_config(train_days=3)
+        data_seed, down_seed, shuffle_seed, _ = cli._seed_bundle(cfg.base_seed, 1)
+        days = [fd.generate_day(cfg.funnel, day, cfg.n_train_per_day, data_seed)
+                for day in range(cfg.train_days)]
+        want = fd.shuffle(fd.downsample_negatives(
+            fd.Dataset.concat(days), cfg.downsample_factor, down_seed), shuffle_seed)
+        got = cli._train_dataset(cfg, 1)
+        assert 0 < len(got) < sum(map(len, days))
+        for column in ("dense", "cats", "click", "conversion", "weight", "day"):
+            a, b = getattr(got, column), getattr(want, column)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), column
+        assert got.config_fingerprint == want.config_fingerprint
+
+    def test_peak_allocation_bounded(self):
+        """Four 100k-row days are 67 MiB before downsampling; one day at a
+        time, the peak is about three times the 9.7 MiB result."""
+        cfg = cli.config_from_dict({"n_train_per_day": 100_000, "train_days": 4})
+        tracemalloc.start()
+        try:
+            cli._train_dataset(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
 
 
 class TestRunAblation:
@@ -326,6 +358,19 @@ class TestRunDrift:
         cfg = tiny_config(funnel={**TINY["funnel"], "n_days": 5})
         with pytest.raises(ValueError, match="n_days"):
             cli.run_drift(cfg)
+
+    @pytest.mark.parametrize("models,match", [
+        (["IP", "IP"], "distinct"),
+        (["IP", "NOPE"], "unknown models"),
+        ([], "at least one model"),
+    ])
+    def test_bad_models_rejected_before_training(self, monkeypatch, models, match):
+        def no_training(*args):
+            pytest.fail("a model trained before the model list was checked")
+
+        monkeypatch.setattr(tr, "train", no_training)
+        with pytest.raises(ValueError, match=match):
+            cli.run_drift(tiny_config(), models=models)
 
     @pytest.mark.parametrize("epochs", [1, 0, 3])
     def test_offset_two_scored_once(self, monkeypatch, epochs):

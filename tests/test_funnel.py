@@ -2,6 +2,7 @@
 downsampling calibration, drift determinism, oracle cross-entropy."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from funnellab import funnel as fd
 from funnellab import metrics
+from oracles import whole_sample_intercepts
 
 
 def _toy_config(**kwargs):
@@ -506,3 +508,30 @@ class TestDatasetProperties:
         source = out.dense[:, 0].astype(np.int64)
         assert sorted(source) == list(range(len(ds)))
         assert _rows(out) == [_rows(ds)[i] for i in source]
+
+
+class TestInterceptSampleInBlocks:
+    """``make_funnel_config`` draws its intercept sample block by block and
+    keeps only the logits; the result is the one-piece draw's, bit for bit."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"dense_dim": 3}, {"dense_dim": 5}, {"n_categorical": 0},
+        {"drift_rate": 0.25}, {"seed": 1}, {"seed": 2}, {"seed": 7, "n_days": 10},
+    ])
+    def test_equals_whole_sample_solve(self, kwargs):
+        cfg = fd.make_funnel_config(**kwargs)
+        ref = whole_sample_intercepts(cfg)
+        assert (cfg.click_intercept, cfg.conv_intercept) == (
+            ref.click_intercept, ref.conv_intercept)
+        assert cfg.fingerprint() == ref.fingerprint()
+
+    def test_peak_allocation_bounded(self):
+        """The 200k x 16 sample alone is 24.4 MiB; drawn in blocks, the
+        peak is the logit vectors and the bisection's arrays (about 11 MiB)."""
+        tracemalloc.start()
+        try:
+            fd.make_funnel_config()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20

@@ -212,6 +212,42 @@ class TestBlockedPrediction:
             model.predict_all(np.zeros(NET.dense_input_dim), np.zeros(2, dtype=int))
 
 
+class TestBatchChecks:
+    """A batch is dense (n, dense_input_dim) and integer cats
+    (n, n_categorical), exactly; anything else would be read silently
+    wrong, so it is refused with the expected shape."""
+
+    @pytest.mark.parametrize("case,match", [
+        ("extra-cats-column", r"cats must be an integer array of shape \(5, 2\)"),
+        ("float-cats", "cats must be an integer array"),
+        ("cats-1d", r"shape \(5, 2\)"),
+        ("cats-short", r"shape \(5, 2\)"),
+        ("dense-wide", r"dense must have shape \(n, 4\)"),
+        ("dense-3d", r"dense must have shape \(n, 4\)"),
+    ])
+    def test_misshapen_batch_rejected(self, case, match):
+        dense, cats = _batch(5)
+        dense, cats = {
+            "extra-cats-column": (dense, np.hstack([cats, cats[:, :1]])),
+            "float-cats": (dense, cats + 0.7),
+            "cats-1d": (dense, cats[:, 0]),
+            "cats-short": (dense, cats[:4]),
+            "dense-wide": (np.hstack([dense, dense[:, :1]]), cats),
+            "dense-3d": (dense[:, None, :], cats),
+        }[case]
+        model = md.build("ESMM", NET, seed=0)
+        with pytest.raises(ValueError, match=match):
+            model.predict_all(dense, cats)
+        with pytest.raises(ValueError, match=match):
+            model.forward_heads(ad.Tape(), dense, cats)
+
+    def test_any_integer_dtype_accepted(self):
+        dense, cats = _batch(5)
+        model = md.build("ESMM", NET, seed=0)
+        want = model.predict_all(dense, cats)
+        _assert_bit_equal(model.predict_all(dense, cats.astype(np.uint8)), want)
+
+
 def _regime(name, click, weight, conversion=None):
     """The ``batch_loss`` terms of one design on one batch, as floats, with
     the design's predictions on that batch."""
