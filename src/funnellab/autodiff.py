@@ -421,12 +421,12 @@ class Adam:
 
     Adam adopts its parameters when built: each ``Param.value`` and the
     gradient array backward writes into become views of flat arrays over
-    all parameters (``_m`` and ``_v`` hold per-parameter views of the flat
-    moments). Each step copies in any ``Param.grad`` a caller rebound (it
-    must have the parameter's shape), checks the flat gradient for
-    finiteness once and updates every parameter in place in one vectorised
-    pass. A parameter whose ``value`` is rebound after adoption, for example
-    by another Adam adopting it, makes ``step`` raise.
+    all parameters; the moments ``_m_flat`` and ``_v_flat`` are flat arrays
+    in the same order. Each step copies in any ``Param.grad`` a caller
+    rebound (it must have the parameter's shape), checks the flat gradient
+    for finiteness once and updates every parameter in place in one
+    vectorised pass. A parameter whose ``value`` is rebound after adoption,
+    for example by another Adam adopting it, makes ``step`` raise.
     """
 
     def __init__(self, params, lr):
@@ -442,17 +442,15 @@ class Adam:
         self._denom = np.empty(n)
         self._m_flat = np.zeros(n)
         self._v_flat = np.zeros(n)
-        self._adopted, self._m, self._v = [], [], []
+        self._adopted = []
         start = 0
         for p in self.params:
             end = start + p.value.size
-            value, grad, m, v = (flat[start:end].reshape(p.value.shape) for flat in
-                                 (self._value, self._grad, self._m_flat, self._v_flat))
+            value, grad = (flat[start:end].reshape(p.value.shape)
+                           for flat in (self._value, self._grad))
             value[...] = p.value
             p.value, p._grad_buffer = value, grad
             self._adopted.append((p, value, grad))
-            self._m.append(m)
-            self._v.append(v)
             start = end
 
     def step(self):

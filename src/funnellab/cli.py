@@ -117,11 +117,6 @@ class ExperimentConfig:
                         DEFAULT_CONFIG["train"])
             self.train_config_for(model_name)  # TrainConfig checks the values
 
-    def check_baseline(self):
-        """The ablation normalizes every design by the baseline's runs."""
-        if self.baseline not in self.models:
-            raise ValueError(f"baseline {self.baseline!r} must be among models {self.models}")
-
     @property
     def eval_day(self):
         return self.train_days
@@ -182,35 +177,22 @@ def config_from_dict(raw):
     """Build an ExperimentConfig from the JSON config schema; every unknown
     key, at the top level or in a section, is an error."""
     _check_keys("config", raw, DEFAULT_CONFIG)
+    merged = {**DEFAULT_CONFIG, **raw}
     for section in ("funnel", "net", "train"):
         _check_keys(section, raw.get(section, {}), DEFAULT_CONFIG[section])
-    models = raw.get("models", [])
+        merged[section] = {**DEFAULT_CONFIG[section], **raw.get(section, {})}
+    models = merged["models"]
     if not (isinstance(models, list) and all(isinstance(m, str) for m in models)):
         raise ValueError(f"models must be a list of names, got {models!r}")
-    merged = {**DEFAULT_CONFIG, **raw}
-    merged["funnel"] = {**DEFAULT_CONFIG["funnel"], **raw.get("funnel", {})}
-    merged["net"] = {**DEFAULT_CONFIG["net"], **raw.get("net", {})}
-    merged["train"] = {**DEFAULT_CONFIG["train"], **raw.get("train", {})}
     funnel_cfg = fd.make_funnel_config(**merged["funnel"])
-    net = md.NetworkConfig(
-        dense_input_dim=funnel_cfg.dense_dim,
-        n_categorical=funnel_cfg.n_categorical,
-        vocab_size=funnel_cfg.vocab_size,
-        embedding_dim=merged["net"]["embedding_dim"],
-        shared_layer_dims=tuple(merged["net"]["shared_layer_dims"]),
-        head_layer_dims=tuple(merged["net"]["head_layer_dims"]))
-    train_cfg = tr.TrainConfig(**merged["train"])
-    return ExperimentConfig(
-        funnel=funnel_cfg, net=net, train=train_cfg,
-        models=list(merged["models"]), baseline=merged["baseline"],
-        n_seeds=merged["n_seeds"],
-        downsample_factor=float(merged["downsample_factor"]),
-        train_days=merged["train_days"],
-        n_train_per_day=merged["n_train_per_day"],
-        n_eval=merged["n_eval"],
-        base_seed=merged["base_seed"],
-        out_dir=merged["out_dir"],
-        train_overrides=raw.get("train_overrides", {}))
+    merged.update(
+        funnel=funnel_cfg,
+        net=md.NetworkConfig(dense_input_dim=funnel_cfg.dense_dim,
+                             n_categorical=funnel_cfg.n_categorical,
+                             vocab_size=funnel_cfg.vocab_size, **merged["net"]),
+        train=tr.TrainConfig(**merged["train"]),
+        models=list(models), downsample_factor=float(merged["downsample_factor"]))
+    return ExperimentConfig(**merged)
 
 
 def _seed_bundle(base_seed, seed_idx):
@@ -240,27 +222,24 @@ def _train_dataset(cfg, seed_idx):
     return fd.shuffle(fd.Dataset.concat(days), shuffle_seed)
 
 
-def _eval_dataset(cfg, seed_idx, offset):
-    """One seed's full-space eval data on the ``offset``-th day after training."""
+def _seed_data(cfg, seed_idx, offsets):
+    """One seed's training set, its full-space eval day at each offset (the
+    ``offset``-th day after training; the ablation scores offset 1), and why
+    the metrics cannot score the first day they cannot, or None: PR-AUC and
+    the calibration ratio need a conversion and a non-conversion with
+    positive weight."""
+    train_ds = _train_dataset(cfg, seed_idx)
     eval_seed = _seed_bundle(cfg.base_seed, seed_idx)[3]
-    return fd.generate_day(cfg.funnel, cfg.train_days - 1 + offset, cfg.n_eval, eval_seed)
-
-
-def _seed_datasets(cfg, seed_idx):
-    """Train data and the ablation's eval day for one seed."""
-    return _train_dataset(cfg, seed_idx), _eval_dataset(cfg, seed_idx, 1)
-
-
-def _unscorable(eval_ds, seed_idx):
-    """Why the eval metrics cannot score ``eval_ds``, or None if they can:
-    PR-AUC and the calibration ratio need a conversion and a non-conversion
-    with positive weight."""
-    weighted = eval_ds.weight > 0
-    converted = eval_ds.conversion > 0
-    if (weighted & converted).any() and (weighted & ~converted).any():
-        return None
-    return (f"seed {seed_idx}: eval day {int(eval_ds.day[0])} cannot be scored: it needs "
-            "a conversion and a non-conversion with positive weight")
+    eval_days = {offset: fd.generate_day(cfg.funnel, cfg.train_days - 1 + offset,
+                                         cfg.n_eval, eval_seed)
+                 for offset in offsets}
+    for ds in eval_days.values():
+        weighted, converted = ds.weight > 0, ds.conversion > 0
+        if not ((weighted & converted).any() and (weighted & ~converted).any()):
+            return train_ds, eval_days, (
+                f"seed {seed_idx}: eval day {int(ds.day[0])} cannot be scored: it needs "
+                "a conversion and a non-conversion with positive weight")
+    return train_ds, eval_days, None
 
 
 def _train_one(cfg, model_name, seed_idx, train_ds, eval_ds):
@@ -336,14 +315,11 @@ def _map_seeds(fn, cfg, *args):
 @dataclass
 class AblationReport:
     config_fingerprint: str
-    formula: str
     models: list
     n_seeds: int
     records: dict                     # (model, seed) -> MetricsRecord or None
     errors: dict                      # (model, seed) -> str
     stats: metrics.ComparisonStats    # None when stats_error says why
-    better_than: dict
-    norm_scores: dict                 # model -> {seed -> normalized score}
     extras: dict = field(default_factory=dict)  # (model, seed) -> diagnostics
     stats_error: str = None
 
@@ -358,8 +334,8 @@ def _ablation_seed(cfg, seed_idx):
     every run before any trains. Returns (records, errors, extras, log
     lines)."""
     records, errors, extras, lines = {}, {}, {}, []
-    train_ds, eval_ds = _seed_datasets(cfg, seed_idx)
-    unscorable = _unscorable(eval_ds, seed_idx)
+    train_ds, eval_days, unscorable = _seed_data(cfg, seed_idx, (1,))
+    eval_ds = eval_days[1]
     for model_name in cfg.models:
         try:
             if unscorable is not None:
@@ -383,7 +359,9 @@ def _ablation_seed(cfg, seed_idx):
 
 def run_ablation(cfg, log=None):
     """Train every selected model on identical per-seed data; compare to baseline."""
-    cfg.check_baseline()
+    # the comparison normalizes every design by the baseline's runs
+    if cfg.baseline not in cfg.models:
+        raise ValueError(f"baseline {cfg.baseline!r} must be among models {cfg.models}")
     log = log or (lambda msg: None)
     records, errors, extras = {}, {}, {}
     for seed_records, seed_errors, seed_extras, lines in _map_seeds(_ablation_seed, cfg):
@@ -392,31 +370,18 @@ def run_ablation(cfg, log=None):
         extras.update(seed_extras)
         for line in lines:
             log(line)
-    surviving = {
-        name: [s for s in range(cfg.n_seeds) if records[(name, s)] is not None]
-        for name in cfg.models
-    }
-    ces_by_model = {
-        name: [records[(name, s)].joint_ce for s in seeds]
-        for name, seeds in surviving.items() if len(seeds) >= 2
-    }
+    ces = {name: {s: records[(name, s)].joint_ce for s in range(cfg.n_seeds)
+                  if records[(name, s)] is not None}
+           for name in cfg.models}
     report = AblationReport(
-        config_fingerprint=cfg.funnel.fingerprint(),
-        formula=metrics.PERFORMANCE_FORMULA,
-        models=list(cfg.models), n_seeds=cfg.n_seeds,
-        records=records, errors=errors, stats=None, better_than={},
-        norm_scores={}, extras=extras)
-    if cfg.baseline not in ces_by_model:
+        config_fingerprint=cfg.funnel.fingerprint(), models=list(cfg.models),
+        n_seeds=cfg.n_seeds, records=records, errors=errors, stats=None, extras=extras)
+    if len(ces[cfg.baseline]) < 2:
         report.stats_error = (
-            f"baseline {cfg.baseline} succeeded on {len(surviving[cfg.baseline])} "
+            f"baseline {cfg.baseline} succeeded on {len(ces[cfg.baseline])} "
             f"of {cfg.n_seeds} seeds; normalized scores need at least 2")
         return report
-    report.stats = stats = metrics.compare_models(ces_by_model, cfg.baseline)
-    report.better_than = metrics.better_than_table(stats, alpha=0.01)
-    report.norm_scores = {
-        name: dict(zip(surviving[name], map(float, stats.norm_scores[name])))
-        for name in stats.models
-    }
+    report.stats = metrics.compare_models(ces, cfg.baseline)
     return report
 
 
@@ -443,6 +408,18 @@ def _fmt(value):
     return "" if value is None else repr(float(value))
 
 
+def _write_csv(path, comments, header, rows):
+    """Write ``# ``-prefixed comment lines, the column header (none when
+    ``header`` is empty) and one line per row of cell strings; returns the
+    path as a string."""
+    lines = [f"# {line}" for line in comments]
+    if header:
+        lines.append(",".join(header))
+    lines += [",".join(row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 def emit_report(report, out_dir, fmt="csv"):
     """Write the per-run table and the comparison stats in csv and/or json.
 
@@ -456,9 +433,12 @@ def emit_report(report, out_dir, fmt="csv"):
         raise ValueError(f"format must be csv, json or both, got {fmt!r}")
     out = _out_dir(out_dir)
     written = []
-    header_lines = [f"# {report.formula}",
-                    f"# funnel_config_fingerprint = {report.config_fingerprint}",
-                    f"# models = {','.join(report.models)}; seeds = {report.n_seeds}"]
+    comments = [metrics.PERFORMANCE_FORMULA,
+                f"funnel_config_fingerprint = {report.config_fingerprint}",
+                f"models = {','.join(report.models)}; seeds = {report.n_seeds}"]
+    stats = report.stats
+    stat_models = stats.models if stats else []
+    norm_scores = stats.norm_scores if stats else {}
     rows = []
     for name in report.models:
         for seed in range(report.n_seeds):
@@ -469,38 +449,32 @@ def emit_report(report, out_dir, fmt="csv"):
             else:
                 row.update(joint_ce=rec.joint_ce, joint_pr_auc=rec.joint_pr_auc,
                            calibration_ratio=rec.calibration_ratio, ctr_ce=rec.ctr_ce,
-                           norm_perf=report.norm_scores.get(name, {}).get(seed))
+                           norm_perf=norm_scores.get(name, {}).get(seed))
             rows.append(row)
-    stats = report.stats
-    stat_models = stats.models if stats else []
     if fmt in ("csv", "both"):
-        runs_path = out / "ablation_runs.csv"
-        lines = list(header_lines)
-        lines.append(",".join(["model", "seed", *RUN_COLUMNS]))
-        lines += [",".join([row["model"], str(row["seed"])]
-                           + [_fmt(row.get(col)) for col in RUN_COLUMNS]) for row in rows]
-        runs_path.write_text("\n".join(lines) + "\n")
-        written.append(str(runs_path))
-
-        stats_path = out / "ablation_stats.csv"
-        lines = list(header_lines)
+        written.append(_write_csv(
+            out / "ablation_runs.csv", comments, ["model", "seed", *RUN_COLUMNS],
+            [[row["model"], str(row["seed"])] + [_fmt(row.get(col)) for col in RUN_COLUMNS]
+             for row in rows]))
         if stats is None:
-            lines.append(f"# stats not computed: {report.stats_error}")
+            stats_comments = [*comments, f"stats not computed: {report.stats_error}"]
+            stats_header = []
         else:
-            lines.append("model,mean_norm_perf,sem,better_than,"
-                         + ",".join(f"p_vs_{m}" for m in stat_models))
+            stats_comments = comments
+            stats_header = ["model", "mean_norm_perf", "sem", "better_than",
+                            *(f"p_vs_{m}" for m in stat_models)]
+        stats_rows = []
         for name in stat_models:
             pvals = [("" if m == name else repr(stats.pvalues[(name, m)]))
                      for m in stat_models]
-            lines.append(",".join([
-                name, repr(stats.mean_norm_perf[name]), repr(stats.sem[name]),
-                ";".join(report.better_than.get(name, []))] + pvals))
-        stats_path.write_text("\n".join(lines) + "\n")
-        written.append(str(stats_path))
+            stats_rows.append([name, repr(stats.mean_norm_perf[name]), repr(stats.sem[name]),
+                               ";".join(stats.better_than[name]), *pvals])
+        written.append(_write_csv(out / "ablation_stats.csv", stats_comments, stats_header,
+                                  stats_rows))
     if fmt in ("json", "both"):
         json_path = out / "ablation_report.json"
         payload = {
-            "formula": report.formula,
+            "formula": metrics.PERFORMANCE_FORMULA,
             "funnel_config_fingerprint": report.config_fingerprint,
             "models": report.models,
             "n_seeds": report.n_seeds,
@@ -508,7 +482,7 @@ def emit_report(report, out_dir, fmt="csv"):
             "stats": {
                 name: {"mean_norm_perf": stats.mean_norm_perf[name],
                        "sem": stats.sem[name],
-                       "better_than": report.better_than.get(name, []),
+                       "better_than": stats.better_than[name],
                        "pvalues": {m: stats.pvalues[(name, m)]
                                    for m in stat_models if m != name}}
                 for name in stat_models
@@ -536,12 +510,9 @@ def _drift_seed(cfg, seed_idx, models):
     """Train each model on one seed's data and score it on every offset day.
     Returns ((model, seed, offset) -> joint CE, log lines); an offset day
     the metrics cannot score raises ``RunFailed`` before any training."""
-    train_ds = _train_dataset(cfg, seed_idx)
-    eval_days = {offset: _eval_dataset(cfg, seed_idx, offset) for offset in DRIFT_OFFSETS}
-    for ds in eval_days.values():
-        unscorable = _unscorable(ds, seed_idx)
-        if unscorable is not None:
-            raise RunFailed(unscorable)
+    train_ds, eval_days, unscorable = _seed_data(cfg, seed_idx, DRIFT_OFFSETS)
+    if unscorable is not None:
+        raise RunFailed(unscorable)
     guard_eval = eval_days[DRIFT_OFFSETS[0]]
     ces, lines = {}, []
     for model_name in models:
@@ -593,28 +564,22 @@ def run_drift(cfg, models=("IP", "ESMM"), log=None):
 
 def emit_drift_report(report, out_dir):
     out = _out_dir(out_dir)
-    runs_path = out / "drift_runs.csv"
-    lines = [f"# funnel_config_fingerprint = {report.config_fingerprint}",
-             "model,seed,offset,joint_ce"]
-    for name in report.models:
-        for seed in range(report.n_seeds):
-            for offset in report.offsets:
-                lines.append(f"{name},{seed},{offset},"
-                             f"{repr(report.ces[(name, seed, offset)])}")
-    runs_path.write_text("\n".join(lines) + "\n")
-
-    stats_path = out / "drift_stats.csv"
-    mean_cols = [f"mean_ce_n{o}" for o in report.offsets]
-    sem_cols = [f"sem_n{o}" for o in report.offsets]
-    lines = [f"# funnel_config_fingerprint = {report.config_fingerprint}",
-             "model," + ",".join(mean_cols + sem_cols)]
-    for name in report.models:
-        row = [name]
-        row += [repr(report.means[name][o]) for o in report.offsets]
-        row += [repr(report.sems[name][o]) for o in report.offsets]
-        lines.append(",".join(row))
-    stats_path.write_text("\n".join(lines) + "\n")
-    return [str(runs_path), str(stats_path)]
+    comments = [f"funnel_config_fingerprint = {report.config_fingerprint}"]
+    offsets = report.offsets
+    run_rows = [[name, str(seed), str(offset), repr(report.ces[(name, seed, offset)])]
+                for name in report.models
+                for seed in range(report.n_seeds)
+                for offset in offsets]
+    stats_rows = [[name, *(repr(report.means[name][o]) for o in offsets),
+                   *(repr(report.sems[name][o]) for o in offsets)]
+                  for name in report.models]
+    return [
+        _write_csv(out / "drift_runs.csv", comments,
+                   ["model", "seed", "offset", "joint_ce"], run_rows),
+        _write_csv(out / "drift_stats.csv", comments,
+                   ["model", *(f"mean_ce_n{o}" for o in offsets),
+                    *(f"sem_n{o}" for o in offsets)], stats_rows),
+    ]
 
 
 def run_gradcheck(cfg, log=None):
@@ -721,53 +686,43 @@ def main(argv=None):
 
     try:
         cfg, models_explicit = _load_config(args)
-        if args.command == "ablation":
-            cfg.check_baseline()
-        if args.command in ("ablation", "drift"):
+        if args.command != "gradcheck":
             _out_dir(cfg.out_dir, create=False)  # fail before training, not after
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
-
-    if args.command == "ablation":
-        try:
-            report = run_ablation(cfg, log=print)
-        except RunFailed as exc:
-            print(f"ablation run failed: {exc}", file=sys.stderr)
-            return 1
-        paths = emit_report(report, cfg.out_dir, fmt=args.format)
-        for path in paths:
-            print(f"wrote {path}")
-        if report.stats is None:
-            print(f"stats not computed: {report.stats_error}")
-        else:
-            for name in report.stats.models:
-                print(f"{name}: norm_perf={report.stats.mean_norm_perf[name]:.4f} "
-                      f"+- {report.stats.sem[name]:.4f} "
-                      f"better_than={','.join(report.better_than[name]) or '-'}")
-        return 1 if report.failed else 0
-
-    if args.command == "drift":
-        drift_models = cfg.models if models_explicit else ("IP", "ESMM")
-        try:
-            report = run_drift(cfg, models=drift_models, log=print)
-        except RunFailed as exc:
-            print(f"drift run failed: {exc}", file=sys.stderr)
-            return 1
-        except ValueError as exc:
-            print(f"invalid config: {exc}", file=sys.stderr)
-            return 2
-        paths = emit_drift_report(report, cfg.out_dir)
-        for path in paths:
-            print(f"wrote {path}")
-        return 0
 
     if args.command == "gradcheck":
         result = run_gradcheck(cfg, log=print)
         print(f"gradient check {'passed' if result['passed'] else 'FAILED'}")
         return 0 if result["passed"] else 1
 
-    return 2
+    try:
+        if args.command == "ablation":
+            report = run_ablation(cfg, log=print)
+        else:
+            report = run_drift(cfg, models=cfg.models if models_explicit else ("IP", "ESMM"),
+                               log=print)
+    except RunFailed as exc:
+        print(f"{args.command} run failed: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return 2
+    if args.command == "drift":
+        for path in emit_drift_report(report, cfg.out_dir):
+            print(f"wrote {path}")
+        return 0
+    for path in emit_report(report, cfg.out_dir, fmt=args.format):
+        print(f"wrote {path}")
+    if report.stats is None:
+        print(f"stats not computed: {report.stats_error}")
+    else:
+        for name in report.stats.models:
+            print(f"{name}: norm_perf={report.stats.mean_norm_perf[name]:.4f} "
+                  f"+- {report.stats.sem[name]:.4f} "
+                  f"better_than={','.join(report.stats.better_than[name]) or '-'}")
+    return 1 if report.failed else 0
 
 
 if __name__ == "__main__":

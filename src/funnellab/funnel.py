@@ -144,6 +144,12 @@ def make_funnel_config(dense_dim=16, n_categorical=2, vocab_size=100,
         # NaN fails both comparisons, so it is rejected too.
         if not 0.0 < rate < 1.0:
             raise ValueError(f"{name} must be inside (0, 1), got {rate}")
+    # _correlated_pair needs a second direction, or its weights are NaN
+    if dense_dim < 2:
+        raise ValueError(f"dense_dim must be at least 2, got {dense_dim}")
+    if n_categorical > 0 and vocab_size < 2:
+        raise ValueError(
+            f"vocab_size must be at least 2 when n_categorical > 0, got {vocab_size}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0F1]))
 
     click_dense, conv_dense = _correlated_pair(rng, dense_dim, correlation, dense_signal)

@@ -21,6 +21,10 @@ PERFORMANCE_FORMULA = (
     " (higher is better; baseline mean is 1 by construction)"
 )
 
+# A model beats another when its mean score is higher and their Welch p-value
+# is below this level.
+BETTER_THAN_ALPHA = 0.01
+
 
 @dataclass
 class MetricsRecord:
@@ -44,14 +48,16 @@ class ComparisonStats:
     ``mean_norm_perf[baseline]`` is exactly 1 by construction (ratio of the
     baseline mean to itself). SEMs are computed over the per-seed normalized
     scores; p-values are Welch two-sided over the same scores.
+    ``better_than[a]`` lists the models ``a`` beats at ``BETTER_THAN_ALPHA``.
     """
 
     baseline: str
     models: list
     mean_norm_perf: dict
     sem: dict
-    pvalues: dict = field(default_factory=dict)
-    norm_scores: dict = field(default_factory=dict)
+    pvalues: dict = field(default_factory=dict)     # (a, b) -> p
+    norm_scores: dict = field(default_factory=dict)  # model -> {seed: score}
+    better_than: dict = field(default_factory=dict)  # model -> [models it beats]
 
 
 def _validate_pred_inputs(preds, labels, weights):
@@ -169,33 +175,26 @@ def _unbiased_var(x):
 
 
 def compare_models(ces_by_model, baseline):
-    """Build ComparisonStats from per-seed cross-entropies keyed by model name."""
+    """Build ComparisonStats from per-seed cross-entropies, ``{model: {seed:
+    ce}}``. A model with fewer than two seeds is left out: its SEM and
+    t-tests need two."""
+    ces_by_model = {name: ces for name, ces in ces_by_model.items() if len(ces) >= 2}
     if baseline not in ces_by_model:
-        raise ValueError(f"baseline {baseline!r} missing from results")
+        raise ValueError(f"baseline {baseline!r} needs results on at least 2 seeds")
     models = list(ces_by_model)
-    baseline_ces = np.asarray(ces_by_model[baseline], dtype=np.float64)
+    baseline_ces = list(ces_by_model[baseline].values())
     means, sems, scores = {}, {}, {}
     for name, ces in ces_by_model.items():
-        means[name], sems[name] = normalized_performance(ces, baseline_ces)
-        scores[name] = normalized_scores(ces, baseline_ces)
+        values = list(ces.values())
+        means[name], sems[name] = normalized_performance(values, baseline_ces)
+        scores[name] = dict(zip(ces, map(float, normalized_scores(values, baseline_ces))))
     pvalues = {}
     for i, a in enumerate(models):
         for b in models[i + 1:]:
-            p = two_sided_t_test(scores[a], scores[b])
-            pvalues[(a, b)] = p
-            pvalues[(b, a)] = p
+            pvalues[(a, b)] = pvalues[(b, a)] = two_sided_t_test(
+                list(scores[a].values()), list(scores[b].values()))
+    better_than = {a: [b for b in models if b != a and means[a] > means[b]
+                       and pvalues[(a, b)] < BETTER_THAN_ALPHA] for a in models}
     return ComparisonStats(baseline=baseline, models=models, mean_norm_perf=means,
-                           sem=sems, pvalues=pvalues, norm_scores=scores)
-
-
-def better_than_table(stats, alpha=0.01):
-    """Pairs (a beats b) with higher mean score and Welch p below alpha."""
-    table = {name: [] for name in stats.models}
-    for a in stats.models:
-        for b in stats.models:
-            if a == b:
-                continue
-            if (stats.mean_norm_perf[a] > stats.mean_norm_perf[b]
-                    and stats.pvalues[(a, b)] < alpha):
-                table[a].append(b)
-    return table
+                           sem=sems, pvalues=pvalues, norm_scores=scores,
+                           better_than=better_than)

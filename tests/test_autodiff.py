@@ -316,10 +316,10 @@ class TestOptimizers:
         opt = ad.Adam([p], lr=0.1)
         p.grad = np.array([2.0])
         opt.step()
-        m_after_first = opt._m[0].copy()
+        m_after_first = opt._m_flat.copy()
         p.grad = np.array([0.0])
         opt.step()
-        np.testing.assert_allclose(opt._m[0], ad.ADAM_BETA1 * m_after_first)
+        np.testing.assert_allclose(opt._m_flat, ad.ADAM_BETA1 * m_after_first)
 
     def test_adam_moves_against_constant_gradient(self):
         p = ad.Param(np.array([0.0]), "p")
@@ -383,10 +383,11 @@ class TestOptimizers:
                 b.grad = a.grad.copy()
             opt.step()
             reference_step(ref, ms, vs, t, 0.03)
-            for a, b, m, v, m_view, v_view in zip(flat, ref, ms, vs, opt._m, opt._v):
+            for a, b in zip(flat, ref):
                 np.testing.assert_array_equal(a.value, b.value)
-                np.testing.assert_array_equal(m_view, m)
-                np.testing.assert_array_equal(v_view, v)
+            # the flat moments are the per-parameter ones laid end to end
+            np.testing.assert_array_equal(opt._m_flat, np.concatenate([m.ravel() for m in ms]))
+            np.testing.assert_array_equal(opt._v_flat, np.concatenate([v.ravel() for v in vs]))
         # once adopted, parameters are updated in place, never rebound
         assert all(p.value is h for p, h in zip(flat, held))
 

@@ -141,8 +141,9 @@ class TestExperimentConfig:
 class TestPairedSeeds:
     def test_datasets_identical_for_fixed_seed(self):
         cfg = tiny_config()
-        a_train, a_eval = cli._seed_datasets(cfg, 1)
-        b_train, b_eval = cli._seed_datasets(cfg, 1)
+        a_train, a_eval, _ = cli._seed_data(cfg, 1, (1,))
+        b_train, b_eval, _ = cli._seed_data(cfg, 1, (1,))
+        a_eval, b_eval = a_eval[1], b_eval[1]
         np.testing.assert_array_equal(a_train.dense, b_train.dense)
         np.testing.assert_array_equal(a_train.weight, b_train.weight)
         np.testing.assert_array_equal(a_eval.dense, b_eval.dense)
@@ -152,8 +153,8 @@ class TestPairedSeeds:
 
     def test_different_seeds_differ(self):
         cfg = tiny_config()
-        a_train, _ = cli._seed_datasets(cfg, 0)
-        b_train, _ = cli._seed_datasets(cfg, 1)
+        a_train = cli._train_dataset(cfg, 0)
+        b_train = cli._train_dataset(cfg, 1)
         assert not np.array_equal(a_train.dense[:100], b_train.dense[:100])
 
 
@@ -208,9 +209,14 @@ class TestRunAblation:
 
     def test_better_than_recomputable_from_per_seed_scores(self):
         cfg = tiny_config(models=["IP", "ESP", "ESMM"], n_seeds=3)
-        report = cli.run_ablation(cfg)
-        rebuilt = metrics.better_than_table(report.stats, alpha=0.01)
-        assert rebuilt == report.better_than
+        stats = cli.run_ablation(cfg).stats
+        for a in stats.models:
+            assert stats.better_than[a] == [
+                b for b in stats.models
+                if b != a and stats.mean_norm_perf[a] > stats.mean_norm_perf[b]
+                and metrics.two_sided_t_test(list(stats.norm_scores[a].values()),
+                                             list(stats.norm_scores[b].values()))
+                < metrics.BETTER_THAN_ALPHA]
 
     def test_each_run_scored_once(self, monkeypatch):
         calls = []
@@ -240,16 +246,46 @@ class TestRunAblation:
         assert report.records[("ESP", 0)] is None
         assert "non-finite" in report.errors[("ESP", 0)]
         # surviving seeds keep their own normalized scores despite the gap
-        assert set(report.norm_scores["ESP"]) == {1, 2}
+        assert set(report.stats.norm_scores["ESP"]) == {1, 2}
         mean_ip = np.mean([report.records[("IP", s)].joint_ce for s in range(3)])
         for seed in (1, 2):
             expected = mean_ip / report.records[("ESP", seed)].joint_ce
-            assert report.norm_scores["ESP"][seed] == pytest.approx(expected, rel=1e-12)
+            assert report.stats.norm_scores["ESP"][seed] == pytest.approx(expected, rel=1e-12)
         # the failed cell is empty in the CSV, surviving rows are intact
         paths = cli.emit_report(report, tmp_path, fmt="csv")
         lines = pathlib.Path(paths[0]).read_text().splitlines()
         assert any(line.startswith("ESP,0,,") for line in lines)
         assert not any(line.startswith("ESP,1,,") for line in lines)
+
+    def test_design_with_one_surviving_seed_left_out_of_comparison(self, tmp_path,
+                                                                     monkeypatch):
+        """A design scored on one seed has no SEM or t-test: it gets no stats
+        row, in CSV or JSON, and no norm_perf; the others are still compared."""
+        real = cli._train_one
+
+        def flaky(cfg, model_name, seed_idx, train_ds, eval_ds):
+            if model_name == "ESP" and seed_idx != 1:
+                raise FloatingPointError("non-finite loss (injected)")
+            return real(cfg, model_name, seed_idx, train_ds, eval_ds)
+
+        monkeypatch.setattr(cli, "_train_one", flaky)
+        report = cli.run_ablation(tiny_config(models=["IP", "ESP", "ESMM"], n_seeds=3))
+        assert report.failed and report.records[("ESP", 1)] is not None
+        assert report.stats.models == ["IP", "ESMM"]
+        cli.emit_report(report, tmp_path, fmt="both")
+        stats_rows = [line.split(",")[0] for line in
+                      (tmp_path / "ablation_stats.csv").read_text().splitlines()
+                      if not line.startswith("#")]
+        assert stats_rows == ["model", "IP", "ESMM"]
+        payload = json.loads((tmp_path / "ablation_report.json").read_text())
+        assert set(payload["stats"]) == {"IP", "ESMM"}
+        runs = {(run["model"], run["seed"]): run for run in payload["runs"]}
+        assert runs[("ESP", 1)]["norm_perf"] is None
+        assert runs[("ESP", 1)]["joint_ce"] == report.records[("ESP", 1)].joint_ce
+        assert all(runs[("ESMM", s)]["norm_perf"] is not None for s in range(3))
+        csv_rows = (tmp_path / "ablation_runs.csv").read_text().splitlines()
+        esp_one = next(line for line in csv_rows if line.startswith("ESP,1,"))
+        assert esp_one.endswith(",") and esp_one.split(",")[2] != ""
 
 
 class TestEmitReport:
@@ -267,7 +303,7 @@ class TestEmitReport:
         ces = {}
         for line in lines[1:]:
             row = dict(zip(header, line.split(",")))
-            ces.setdefault(row["model"], []).append(float(row["joint_ce"]))
+            ces.setdefault(row["model"], {})[int(row["seed"])] = float(row["joint_ce"])
         rebuilt = metrics.compare_models(ces, baseline="IP")
         for name in rebuilt.models:
             assert abs(rebuilt.mean_norm_perf[name]
@@ -336,8 +372,7 @@ class TestEmitReport:
             cli.emit_report(report, blocker / "sub", fmt="csv")
 
     def test_bad_format_creates_no_directory(self, tmp_path):
-        report = cli.AblationReport("fp", "formula", ["IP"], 2, {}, {}, None, {}, {},
-                                    stats_error="no runs")
+        report = cli.AblationReport("fp", ["IP"], 2, {}, {}, None, stats_error="no runs")
         with pytest.raises(ValueError, match="format must be"):
             cli.emit_report(report, tmp_path / "out", fmt="xml")
         assert not (tmp_path / "out").exists()
@@ -390,7 +425,7 @@ class TestRunDrift:
         assert len(calls) == cfg.n_seeds * len(cli.DRIFT_OFFSETS)
         assert calls.count(offset_two_day) == cfg.n_seeds
 
-        train_ds, _ = cli._seed_datasets(cfg, 1)
+        train_ds = cli._train_dataset(cfg, 1)
         eval_seed = cli._seed_bundle(cfg.base_seed, 1)[3]
         guard = fd.generate_day(cfg.funnel, offset_two_day, cfg.n_eval, eval_seed)
         model, _ = cli._train_one(cfg, "IP", 1, train_ds, guard)
@@ -479,11 +514,14 @@ class TestMainCli:
         ({}, ["--models", "IP,IP,ESMM"]),
         ({}, ["--models", ""]),
         ({}, ["--out", ""]),
+        ({"funnel": {**TINY["funnel"], "dense_dim": 1}}, []),
+        ({"funnel": {**TINY["funnel"], "vocab_size": 1}}, []),
     ], ids=["no-baseline", "override-key", "override-model", "top-key", "section-key",
             "models-string", "float-int", "string-int", "negative-rows", "click-rate-above-1",
             "click-rate-0", "click-rate-1", "conv-rate-negative", "click-rate-nan",
             "downsample-flag-inf", "downsample-inf", "learning-rate-nan", "override-inf",
-            "dense-signal-nan", "models-repeated", "models-empty", "out-empty"])
+            "dense-signal-nan", "models-repeated", "models-empty", "out-empty",
+            "dense-dim-1", "vocab-size-1"])
     def test_bad_ablation_input_exits_two_before_training(
             self, tmp_path, monkeypatch, capsys, extra, flags):
         def no_training(*args):
@@ -544,7 +582,7 @@ class TestMainCli:
         assert len(rows) == 4
         for name, seed, joint_ce, *rest in rows:
             assert all(np.isfinite(float(cell)) for cell in [joint_ce, *rest])
-            _, eval_ds = cli._seed_datasets(cfg, int(seed))
+            eval_ds = cli._seed_data(cfg, int(seed), (1,))[1][1]
             fresh = md.build(name, cfg.net, cli._model_init_seed(cfg.base_seed, int(seed), name))
             assert float(joint_ce) == tr.evaluate(fresh, eval_ds).joint_ce
 

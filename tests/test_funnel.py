@@ -129,6 +129,21 @@ class TestMakeFunnelConfig:
                 drift_rate=0.0, n_days=1,
                 base_click_rate_target=0.5, base_conv_rate_target=0.5)
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"dense_dim": 1}, "dense_dim must be at least 2, got 1"),
+        ({"vocab_size": 1, "n_categorical": 2},
+         "vocab_size must be at least 2 when n_categorical > 0, got 1"),
+    ], ids=["dense-dim-1", "vocab-size-1"])
+    def test_one_dimensional_weights_rejected(self, kwargs, match):
+        """One dimension leaves the correlated pair no second direction, so
+        its weights would be NaN; the key is named instead."""
+        with pytest.raises(ValueError, match=match):
+            fd.make_funnel_config(**kwargs)
+
+    def test_one_word_vocabulary_allowed_without_categoricals(self):
+        cfg = fd.make_funnel_config(dense_dim=2, n_categorical=0, vocab_size=1)
+        assert np.isfinite(cfg.conv_dense).all() and np.isfinite(cfg.conv_intercept)
+
     def test_fingerprint_distinguishes_configs(self):
         a = fd.make_funnel_config(seed=1)
         b = fd.make_funnel_config(seed=2)

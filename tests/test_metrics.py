@@ -199,9 +199,8 @@ class TestTwoSidedTTest:
 class TestCompareModels:
     def test_baseline_mean_is_one_and_pvalues_symmetric(self):
         rng = np.random.default_rng(6)
-        ces = {"IP": rng.uniform(0.2, 0.3, 10),
-               "ESP": rng.uniform(0.25, 0.35, 10),
-               "IPSP": rng.uniform(0.18, 0.28, 10)}
+        ces = {name: dict(enumerate(rng.uniform(low, low + 0.1, 10)))
+               for name, low in (("IP", 0.2), ("ESP", 0.25), ("IPSP", 0.18))}
         stats = metrics.compare_models(ces, baseline="IP")
         assert stats.mean_norm_perf["IP"] == 1.0
         for a in stats.models:
@@ -210,16 +209,36 @@ class TestCompareModels:
                     assert stats.pvalues[(a, b)] == stats.pvalues[(b, a)]
 
     def test_better_than_requires_significance_and_higher_mean(self):
-        ces = {"IP": [0.30, 0.31, 0.29, 0.305, 0.295],
-               "ESP": [0.40, 0.41, 0.39, 0.405, 0.395]}
+        ces = {"IP": dict(enumerate([0.30, 0.31, 0.29, 0.305, 0.295])),
+               "ESP": dict(enumerate([0.40, 0.41, 0.39, 0.405, 0.395])),
+               # higher mean than ESP, but too spread for p < 0.01
+               "IPSP": dict(enumerate([0.20, 0.60, 0.25, 0.55, 0.30]))}
         stats = metrics.compare_models(ces, baseline="IP")
-        table = metrics.better_than_table(stats, alpha=0.01)
-        assert table["IP"] == ["ESP"]
-        assert table["ESP"] == []
+        assert stats.pvalues[("IPSP", "ESP")] > metrics.BETTER_THAN_ALPHA
+        assert stats.mean_norm_perf["IPSP"] > stats.mean_norm_perf["ESP"]
+        assert stats.better_than == {"IP": ["ESP"], "ESP": [], "IPSP": []}
+
+    def test_norm_scores_keyed_by_seed(self):
+        """Scores keep the seeds they came from, gaps included."""
+        ces = {"IP": {0: 0.3, 1: 0.2, 2: 0.25}, "ESP": {0: 0.5, 2: 0.4}}
+        stats = metrics.compare_models(ces, baseline="IP")
+        assert stats.norm_scores == {"IP": {0: 0.25 / 0.3, 1: 0.25 / 0.2, 2: 0.25 / 0.25},
+                                     "ESP": {0: 0.25 / 0.5, 2: 0.25 / 0.4}}
+
+    def test_model_with_one_seed_left_out(self):
+        ces = {"IP": {0: 0.3, 1: 0.2}, "ESP": {1: 0.5}, "IPSP": {0: 0.25, 1: 0.35}}
+        stats = metrics.compare_models(ces, baseline="IP")
+        assert stats.models == ["IP", "IPSP"]
+        assert set(stats.mean_norm_perf) == set(stats.norm_scores) == {"IP", "IPSP"}
+        assert set(stats.pvalues) == {("IP", "IPSP"), ("IPSP", "IP")}
 
     def test_missing_baseline_rejected(self):
-        with pytest.raises(ValueError):
-            metrics.compare_models({"ESP": [0.1, 0.2]}, baseline="IP")
+        with pytest.raises(ValueError, match="baseline 'IP' needs results on at least 2"):
+            metrics.compare_models({"ESP": {0: 0.1, 1: 0.2}}, baseline="IP")
+
+    def test_baseline_on_one_seed_rejected(self):
+        with pytest.raises(ValueError, match="baseline 'IP' needs results on at least 2"):
+            metrics.compare_models({"IP": {0: 0.3}, "ESP": {0: 0.1, 1: 0.2}}, baseline="IP")
 
 
 class TestMetricsRecord:
