@@ -15,7 +15,9 @@ Each Param owns one gradient array, which backward fills (zeros if the root
 never reaches the parameter) and binds to ``Param.grad``; the next backward
 overwrites it, so copy it to keep it. ``Adam`` adopts its parameters when
 built: their values and gradient arrays become views of its flat arrays, so
-backward writes where the update reads.
+backward writes where the update reads. A gradient reaches Adam only through
+a backward; a ``Param.grad`` or ``Param.value`` rebound after adoption is
+refused.
 
 A tape is single-use: ``backward`` ends by calling ``Tape.release``, which
 drops the tape's node list and so breaks the node <-> tape reference cycle.
@@ -39,7 +41,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# gradient_check's tolerances; its docstring says how they apply.
+# gradient_check's step and tolerances; its docstring says how they apply.
+GRADCHECK_STEP = 1e-5
 GRADCHECK_REL_TOL = 1e-4
 GRADCHECK_ABS_TOL = 1e-7
 GRADCHECK_SMALL_GRAD = 1e-4
@@ -277,16 +280,15 @@ def vsum(x):
     return x.tape._record(x.value.sum(), "sum", backward_fn)
 
 
-def concat(parts, axis=-1):
-    """Concatenate nodes along an axis (used to join dense and embedded features)."""
-    value = np.concatenate([p.value for p in parts], axis=axis)
-    leading = (slice(None),) * (axis % value.ndim)
+def concat(parts):
+    """Concatenate nodes along the last axis (joins dense and embedded features)."""
+    value = np.concatenate([p.value for p in parts], axis=-1)
 
     def backward_fn(out_grad):
         stop = 0
         for part in parts:
-            start, stop = stop, stop + part.value.shape[axis]
-            _accumulate(part, out_grad[(*leading, slice(start, stop))], view=True)
+            start, stop = stop, stop + part.value.shape[-1]
+            _accumulate(part, out_grad[..., start:stop], view=True)
 
     return parts[0].tape._record(value, "concat", backward_fn)
 
@@ -307,19 +309,6 @@ class DenseLayer:
         self.weights = Param(rng.uniform(-limit, limit, size=(out_dim, in_dim)),
                              name=f"{name}.weights")
         self.biases = Param(np.zeros(out_dim), name=f"{name}.biases")
-
-    @classmethod
-    def from_arrays(cls, weights, biases, name="dense"):
-        weights = np.asarray(weights, dtype=np.float64)
-        biases = np.asarray(biases, dtype=np.float64)
-        if weights.ndim != 2 or biases.shape != (weights.shape[0],):
-            raise ValueError("weights must be (out, in) and biases (out,)")
-        layer = cls.__new__(cls)
-        layer.in_dim = weights.shape[1]
-        layer.out_dim = weights.shape[0]
-        layer.weights = Param(weights, name=f"{name}.weights")
-        layer.biases = Param(biases, name=f"{name}.biases")
-        return layer
 
     def params(self):
         return [self.weights, self.biases]
@@ -422,11 +411,12 @@ class Adam:
     Adam adopts its parameters when built: each ``Param.value`` and the
     gradient array backward writes into become views of flat arrays over
     all parameters; the moments ``_m_flat`` and ``_v_flat`` are flat arrays
-    in the same order. Each step copies in any ``Param.grad`` a caller
-    rebound (it must have the parameter's shape), checks the flat gradient
-    for finiteness once and updates every parameter in place in one
-    vectorised pass. A parameter whose ``value`` is rebound after adoption,
-    for example by another Adam adopting it, makes ``step`` raise.
+    in the same order. A gradient reaches Adam only through a backward, which
+    binds each ``Param.grad`` to the parameter's slice of the flat gradient.
+    Each step checks the flat gradient for finiteness once and updates every
+    parameter in place in one vectorised pass. A parameter whose ``grad`` or
+    ``value`` is rebound after adoption, for example by another Adam
+    adopting it, makes ``step`` raise.
     """
 
     def __init__(self, params, lr):
@@ -455,19 +445,13 @@ class Adam:
 
     def step(self):
         # Backward binds each Param.grad to its slice of the flat gradient;
-        # this loop, two identity tests per parameter, is what honouring a
-        # rebound Param.grad and catching a rebound Param.value cost.
+        # two identity tests per parameter catch a missing backward and a
+        # rebound Param.grad or Param.value.
         for param, value, grad in self._adopted:
-            if param.grad is not grad:
+            if param.grad is not grad or param.value is not value:
                 if param.grad is None:
                     raise ValueError(
                         f"parameter {param.name!r} has no gradient; run backward first")
-                if np.shape(param.grad) != grad.shape:
-                    raise ValueError(
-                        f"gradient for {param.name!r} has shape {np.shape(param.grad)}, "
-                        f"the parameter has {grad.shape}")
-                grad[...] = param.grad
-            if param.value is not value:
                 raise ValueError(f"parameter {param.name!r} was rebound after this "
                                  "optimizer adopted it")
         g = self._grad
@@ -497,8 +481,8 @@ class Adam:
         self._value -= step
 
 
-def gradient_check(loss_fn, params, h=1e-5, max_coords_per_param=None, rng=None):
-    """Compare reverse-mode gradients against central finite differences.
+def gradient_check(loss_fn, params, max_coords_per_param=None, rng=None):
+    """Compare reverse-mode gradients against central differences of step GRADCHECK_STEP.
 
     ``loss_fn`` rebuilds the forward pass and returns a scalar root node.
     Each checked coordinate must satisfy |analytic - fd| <= GRADCHECK_REL_TOL
@@ -526,12 +510,12 @@ def gradient_check(loss_fn, params, h=1e-5, max_coords_per_param=None, rng=None)
             coords = rng.choice(flat.size, size=max_coords_per_param, replace=False)
         for idx in coords:
             orig = flat[idx]
-            flat[idx] = orig + h
+            flat[idx] = orig + GRADCHECK_STEP
             up = loss_value()
-            flat[idx] = orig - h
+            flat[idx] = orig - GRADCHECK_STEP
             down = loss_value()
             flat[idx] = orig
-            fd = (up - down) / (2.0 * h)
+            fd = (up - down) / (2.0 * GRADCHECK_STEP)
             a = grad.reshape(-1)[idx]
             err = abs(a - fd)
             denom = max(abs(a), abs(fd))

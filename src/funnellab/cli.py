@@ -28,6 +28,7 @@ from . import models as md
 from . import training as tr
 
 DRIFT_OFFSETS = (2, 3, 4, 5, 6)
+DRIFT_MODELS = ("IP", "ESMM")
 
 DEFAULT_CONFIG = {
     "funnel": {
@@ -530,7 +531,7 @@ def _drift_seed(cfg, seed_idx, models):
     return ces, lines
 
 
-def run_drift(cfg, models=("IP", "ESMM"), log=None):
+def run_drift(cfg, models=DRIFT_MODELS, log=None):
     """Train once per (model, seed), then evaluate on each offset day.
 
     Offset n means the n-th day after the end of training; the ablation's
@@ -701,7 +702,7 @@ def main(argv=None):
         if args.command == "ablation":
             report = run_ablation(cfg, log=print)
         else:
-            report = run_drift(cfg, models=cfg.models if models_explicit else ("IP", "ESMM"),
+            report = run_drift(cfg, models=cfg.models if models_explicit else DRIFT_MODELS,
                                log=print)
     except RunFailed as exc:
         print(f"{args.command} run failed: {exc}", file=sys.stderr)

@@ -62,10 +62,8 @@ class FunnelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dense_dim <= 0 or self.vocab_size <= 0 or self.n_days <= 0:
-            raise ValueError("dense_dim, vocab_size and n_days must be positive")
-        if self.n_categorical < 0 or self.drift_rate < 0:
-            raise ValueError("n_categorical and drift_rate must be nonnegative")
+        _check_scalars(self.dense_dim, self.n_categorical, self.vocab_size,
+                       self.n_days, self.drift_rate)
         for name, arr, shape in (
                 ("click_dense", self.click_dense, (self.dense_dim,)),
                 ("conv_dense", self.conv_dense, (self.dense_dim,)),
@@ -85,6 +83,14 @@ class FunnelConfig:
                    self.base_conv_rate_target, self.weight_correlation, self.seed)
         h.update(repr(scalars).encode())
         return h.hexdigest()[:16]
+
+
+def _check_scalars(dense_dim, n_categorical, vocab_size, n_days, drift_rate):
+    """FunnelConfig's scalar rules, which make_funnel_config checks before any draw."""
+    if dense_dim <= 0 or vocab_size <= 0 or n_days <= 0:
+        raise ValueError("dense_dim, vocab_size and n_days must be positive")
+    if n_categorical < 0 or drift_rate < 0:
+        raise ValueError("n_categorical and drift_rate must be nonnegative")
 
 
 def _unit(v):
@@ -150,6 +156,7 @@ def make_funnel_config(dense_dim=16, n_categorical=2, vocab_size=100,
     if n_categorical > 0 and vocab_size < 2:
         raise ValueError(
             f"vocab_size must be at least 2 when n_categorical > 0, got {vocab_size}")
+    _check_scalars(dense_dim, n_categorical, vocab_size, n_days, drift_rate)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0F1]))
 
     click_dense, conv_dense = _correlated_pair(rng, dense_dim, correlation, dense_signal)

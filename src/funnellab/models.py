@@ -119,7 +119,7 @@ class _Stack:
     def forward(self, tape, dense, cats):
         parts = [tape.constant(dense)]
         parts += [emb.lookup(tape, cats[:, j]) for j, emb in enumerate(self.embeddings)]
-        h = ad.concat(parts, axis=-1) if len(parts) > 1 else parts[0]
+        h = ad.concat(parts) if len(parts) > 1 else parts[0]
         for layer in self.layers:
             h = ad.relu(layer(h))
         return h

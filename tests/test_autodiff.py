@@ -20,21 +20,43 @@ def _node(tape, values):
     return tape.constant(np.asarray(values, dtype=np.float64))
 
 
+def _dense_layer(weights, biases):
+    """A DenseLayer holding ``weights`` (out x in) and ``biases``; its own
+    initial values come from a generator of their own."""
+    weights = np.asarray(weights, dtype=np.float64)
+    layer = ad.DenseLayer(weights.shape[1], weights.shape[0], np.random.default_rng(0))
+    layer.weights.value[...] = weights
+    layer.biases.value[...] = biases
+    return layer
+
+
+def _backprop(params, grads):
+    """Run one backward that leaves exactly ``grads`` in the params' ``.grad``:
+    d/dp of sum(p * g) is g, bit for bit."""
+    tape = ad.Tape()
+    terms = [ad.vsum(ad.multiply(tape.watch(p), tape.constant(g)))
+             for p, g in zip(params, grads)]
+    root = terms[0]
+    for term in terms[1:]:
+        root = ad.add(root, term)
+    tape.backward(root)
+
+
 class TestDenseForward:
     def test_identity_weights_zero_bias(self):
-        layer = ad.DenseLayer.from_arrays(np.eye(2), np.zeros(2))
+        layer = _dense_layer(np.eye(2), np.zeros(2))
         tape = ad.Tape()
         out = layer(_node(tape, [[1.0, 2.0]]))
         np.testing.assert_allclose(out.value, [[1.0, 2.0]])
 
     def test_zero_weights_bias_only(self):
-        layer = ad.DenseLayer.from_arrays(np.zeros((1, 2)), [3.0])
+        layer = _dense_layer(np.zeros((1, 2)), [3.0])
         tape = ad.Tape()
         out = layer(_node(tape, [[7.0, -4.0]]))
         np.testing.assert_allclose(out.value, [[3.0]])
 
     def test_hand_sum(self):
-        layer = ad.DenseLayer.from_arrays([[1.0, 1.0]], [0.0])
+        layer = _dense_layer([[1.0, 1.0]], [0.0])
         tape = ad.Tape()
         out = layer(_node(tape, [[2.0, 3.0]]))
         np.testing.assert_allclose(out.value, [[5.0]])
@@ -63,7 +85,7 @@ class TestDenseForward:
 
     def test_nonfinite_init_rejected(self):
         with pytest.raises(ValueError):
-            ad.DenseLayer.from_arrays([[np.inf]], [0.0])
+            ad.Param([[np.inf]])
 
 
 class TestRelu:
@@ -275,7 +297,7 @@ class TestBackward:
 
         def loss_fn():
             tape = ad.Tape()
-            h = ad.concat([_node(tape, x), emb.lookup(tape, idx)], axis=-1)
+            h = ad.concat([_node(tape, x), emb.lookup(tape, idx)])
             h = ad.relu(trunk(h))
             pa = ad.sigmoid(ad.reshape(head_a(h), (6,)))
             pb = ad.sigmoid(ad.reshape(head_b(h), (6,)))
@@ -306,7 +328,7 @@ class TestOptimizers:
     def test_adam_zero_gradient_leaves_params(self):
         p = ad.Param(np.array([1.0, -2.0]), "p")
         opt = ad.Adam([p], lr=0.1)
-        p.grad = np.zeros(2)
+        _backprop([p], [np.zeros(2)])
         before = p.value.copy()
         opt.step()
         np.testing.assert_array_equal(p.value, before)
@@ -314,10 +336,10 @@ class TestOptimizers:
     def test_adam_moments_decay_after_zero_grad(self):
         p = ad.Param(np.array([1.0]), "p")
         opt = ad.Adam([p], lr=0.1)
-        p.grad = np.array([2.0])
+        _backprop([p], [np.array([2.0])])
         opt.step()
         m_after_first = opt._m_flat.copy()
-        p.grad = np.array([0.0])
+        _backprop([p], [np.array([0.0])])
         opt.step()
         np.testing.assert_allclose(opt._m_flat, ad.ADAM_BETA1 * m_after_first)
 
@@ -325,7 +347,7 @@ class TestOptimizers:
         p = ad.Param(np.array([0.0]), "p")
         opt = ad.Adam([p], lr=0.01)
         for _ in range(50):
-            p.grad = np.array([3.0])
+            _backprop([p], [np.array([3.0])])
             opt.step()
         assert p.value[0] < 0.0
 
@@ -334,7 +356,7 @@ class TestOptimizers:
         for g in (0.7, -4.0):
             p = ad.Param(np.array([1.0]), "p")
             opt = ad.Adam([p], lr=0.05)
-            p.grad = np.array([g])
+            _backprop([p], [np.array([g])])
             opt.step()
             expected = 1.0 - 0.05 * g / (math.sqrt(g * g) + ad.ADAM_EPS)
             assert p.value[0] == pytest.approx(expected, rel=1e-12)
@@ -343,7 +365,7 @@ class TestOptimizers:
     def test_nonfinite_gradient_aborts(self):
         p = ad.Param(np.array([1.0]), "p")
         opt = ad.Adam([p], lr=0.1)
-        p.grad = np.array([np.nan])
+        _backprop([p], [np.array([np.nan])])
         with pytest.raises(FloatingPointError):
             opt.step()
 
@@ -351,19 +373,45 @@ class TestOptimizers:
         params = [ad.Param(np.ones((2, 2)), "a"), ad.Param(np.ones(3), "b"),
                   ad.Param(np.ones(1), "c")]
         opt = ad.Adam(params, lr=0.1)
-        for p in params:
-            p.grad = np.ones_like(p.value)
-        params[1].grad[2] = np.nan
+        grads = [np.ones_like(p.value) for p in params]
+        grads[1][2] = np.nan
+        _backprop(params, grads)
         with pytest.raises(FloatingPointError, match="'b'"):
             opt.step()
         for p in params:
             np.testing.assert_array_equal(p.value, np.ones_like(p.value))
 
-    def test_misshapen_rebound_gradient_rejected(self):
+    def test_step_before_backward_rejected(self):
+        p = ad.Param(np.array([1.0]), "p")
+        opt = ad.Adam([p], lr=0.1)
+        with pytest.raises(ValueError, match="'p' has no gradient; run backward first"):
+            opt.step()
+        np.testing.assert_array_equal(p.value, [1.0])
+
+    def test_rebound_gradient_rejected(self):
+        """A gradient reaches Adam only through a backward: a Param.grad
+        rebound after adoption, even to an array of the right shape, is
+        refused and no parameter moves."""
+        p = ad.Param(np.array([1.0, -2.0]), "p")
+        q = ad.Param(np.array([0.5]), "q")
+        opt = ad.Adam([q, p], lr=0.1)
+        _backprop([q, p], [np.ones(1), np.ones(2)])
+        p.grad = np.array([1.0, 1.0])
+        with pytest.raises(ValueError, match="'p' was rebound after this optimizer adopted it"):
+            opt.step()
+        np.testing.assert_array_equal(p.value, [1.0, -2.0])
+        np.testing.assert_array_equal(q.value, [0.5])
+
+    @pytest.mark.parametrize("rebind", ["assign", "second-adam"])
+    def test_rebound_value_rejected(self, rebind):
         p = ad.Param(np.array([1.0, -2.0]), "p")
         opt = ad.Adam([p], lr=0.1)
-        p.grad = np.array([1.0])
-        with pytest.raises(ValueError, match=r"'p' has shape \(1,\)"):
+        if rebind == "assign":
+            p.value = p.value.copy()
+        else:
+            ad.Adam([p], lr=0.1)
+        _backprop([p], [np.ones(2)])
+        with pytest.raises(ValueError, match="'p' was rebound after this optimizer adopted it"):
             opt.step()
         np.testing.assert_array_equal(p.value, [1.0, -2.0])
 
@@ -378,9 +426,10 @@ class TestOptimizers:
         ms = [np.zeros(s) for s in shapes]
         vs = [np.zeros(s) for s in shapes]
         for t in range(1, 6):
-            for a, b in zip(flat, ref):
-                a.grad = rng.standard_normal(a.value.shape) * 10.0 ** rng.integers(-3, 3)
-                b.grad = a.grad.copy()
+            grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-3, 3) for s in shapes]
+            _backprop(flat, grads)
+            for b, g in zip(ref, grads):
+                b.grad = g.copy()
             opt.step()
             reference_step(ref, ms, vs, t, 0.03)
             for a, b in zip(flat, ref):
@@ -578,7 +627,7 @@ def _leaf(rng, shape, low=-2.0, high=2.0):
 
 def _dense_case(rng, n, m, k):
     x = _leaf(rng, (n, m))
-    layer = ad.DenseLayer.from_arrays(rng.uniform(-1, 1, (k, m)), rng.uniform(-1, 1, k))
+    layer = _dense_layer(rng.uniform(-1, 1, (k, m)), rng.uniform(-1, 1, k))
     return [x, *layer.params()], lambda tape: ad.dense_forward(layer, tape.watch(x))
 
 

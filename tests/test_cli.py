@@ -538,6 +538,15 @@ class TestMainCli:
         assert len(err) == 1 and err[0].startswith("invalid config: ")
         assert not (tmp_path / "out").exists()
 
+    def test_negative_categorical_count_named(self, tmp_path, monkeypatch, capsys):
+        message = "n_categorical and drift_rate must be nonnegative"
+        with pytest.raises(ValueError, match=message):
+            cli.config_from_dict({"funnel": {"n_categorical": -1}})
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"funnel": {"n_categorical": -1}}))
+        assert cli.main(["ablation", "--config", "cfg.json"]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"invalid config: {message}"]
+
     @pytest.mark.parametrize("command,content,flags,message", [
         ("drift", [], ["--drift-rate", "0.1"], "config must be an object, got []"),
         ("ablation", [], ["--seeds", "3"], "config must be an object, got []"),

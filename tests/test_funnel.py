@@ -140,6 +140,20 @@ class TestMakeFunnelConfig:
         with pytest.raises(ValueError, match=match):
             fd.make_funnel_config(**kwargs)
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"n_categorical": -1}, "n_categorical and drift_rate must be nonnegative"),
+        ({"n_days": 0}, "dense_dim, vocab_size and n_days must be positive"),
+        ({"drift_rate": -1.0}, "n_categorical and drift_rate must be nonnegative"),
+    ], ids=["n-categorical-negative", "n-days-0", "drift-rate-negative"])
+    def test_scalar_rules_checked_before_any_draw(self, monkeypatch, kwargs, match):
+        """FunnelConfig's own rules refuse these before the weights are drawn."""
+        def no_draw(*args):
+            raise AssertionError("weights drawn before the config was checked")
+
+        monkeypatch.setattr(fd, "_correlated_pair", no_draw)
+        with pytest.raises(ValueError, match=match):
+            fd.make_funnel_config(**kwargs)
+
     def test_one_word_vocabulary_allowed_without_categoricals(self):
         cfg = fd.make_funnel_config(dense_dim=2, n_categorical=0, vocab_size=1)
         assert np.isfinite(cfg.conv_dense).all() and np.isfinite(cfg.conv_intercept)
