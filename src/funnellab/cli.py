@@ -96,8 +96,10 @@ class ExperimentConfig:
         repeated = sorted({name for name in self.models if self.models.count(name) > 1})
         if repeated:
             raise ValueError(f"models must be distinct; repeated: {repeated}")
-        if self.downsample_factor < 1:
+        if not self.downsample_factor >= 1:  # NaN fails too
             raise ValueError("downsample_factor must be >= 1")
+        if self.downsample_factor == np.inf:
+            raise ValueError("downsample_factor must be finite")
         if self.train_days < 1:
             raise ValueError("train_days must be >= 1")
         if self.n_train_per_day < 1 or self.n_eval < 1:
@@ -277,8 +279,8 @@ def _pool_size(n_seeds):
     return max(1, min(n_seeds, cores // _blas_threads(cores)))
 
 
-def _map_seeds(fn, cfg, *args):
-    """``[fn(cfg, seed, *args) for seed in range(cfg.n_seeds)]``, on a process
+def _map_seeds(fn, cfg):
+    """``[fn(cfg, seed) for seed in range(cfg.n_seeds)]``, on a process
     pool when the cores allow more than one seed at a time (``_pool_size``).
 
     Workers are forked, so each starts from this process's modules in their
@@ -290,7 +292,7 @@ def _map_seeds(fn, cfg, *args):
     """
     jobs = _pool_size(cfg.n_seeds)
     if jobs == 1:
-        return [fn(cfg, seed_idx, *args) for seed_idx in range(cfg.n_seeds)]
+        return [fn(cfg, seed_idx) for seed_idx in range(cfg.n_seeds)]
     # Imported here: only a pooled run pays for them.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -298,7 +300,7 @@ def _map_seeds(fn, cfg, *args):
 
     pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"))
     try:
-        futures = [pool.submit(fn, cfg, seed_idx, *args) for seed_idx in range(cfg.n_seeds)]
+        futures = [pool.submit(fn, cfg, seed_idx) for seed_idx in range(cfg.n_seeds)]
         results = []
         for future in futures:
             try:
@@ -507,16 +509,16 @@ class DriftReport:
     sems: dict         # model -> {offset: sem}
 
 
-def _drift_seed(cfg, seed_idx, models):
-    """Train each model on one seed's data and score it on every offset day.
-    Returns ((model, seed, offset) -> joint CE, log lines); an offset day
+def _drift_seed(cfg, seed_idx):
+    """Train each of ``cfg.models`` on one seed's data, score it on every offset
+    day. Returns ((model, seed, offset) -> joint CE, log lines); an offset day
     the metrics cannot score raises ``RunFailed`` before any training."""
     train_ds, eval_days, unscorable = _seed_data(cfg, seed_idx, DRIFT_OFFSETS)
     if unscorable is not None:
         raise RunFailed(unscorable)
     guard_eval = eval_days[DRIFT_OFFSETS[0]]
     ces, lines = {}, []
-    for model_name in models:
+    for model_name in cfg.models:
         try:
             model, history = _train_one(cfg, model_name, seed_idx, train_ds, guard_eval)
             for offset, ds in eval_days.items():
@@ -545,21 +547,21 @@ def run_drift(cfg, models=DRIFT_MODELS, log=None):
     if cfg.funnel.n_days < needed:
         raise ValueError(
             f"drift needs funnel.n_days >= {needed}, got {cfg.funnel.n_days}")
-    models = replace(cfg, models=list(models)).models  # nonempty, known, distinct
+    cfg = replace(cfg, models=list(models))  # checks: nonempty, known, distinct
     log = log or (lambda msg: None)
     ces = {}
-    for seed_ces, lines in _map_seeds(_drift_seed, cfg, models):
+    for seed_ces, lines in _map_seeds(_drift_seed, cfg):
         ces.update(seed_ces)
         for line in lines:
             log(line)
     means, sems = {}, {}
-    for name in models:
+    for name in cfg.models:
         means[name], sems[name] = {}, {}
         for offset in DRIFT_OFFSETS:
             vals = np.array([ces[(name, s, offset)] for s in range(cfg.n_seeds)])
             means[name][offset] = float(vals.mean())
             sems[name][offset] = float(vals.std(ddof=1) / np.sqrt(len(vals)))
-    return DriftReport(cfg.funnel.fingerprint(), models, cfg.n_seeds,
+    return DriftReport(cfg.funnel.fingerprint(), cfg.models, cfg.n_seeds,
                        DRIFT_OFFSETS, ces, means, sems)
 
 

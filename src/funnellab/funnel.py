@@ -89,8 +89,29 @@ def _check_scalars(dense_dim, n_categorical, vocab_size, n_days, drift_rate):
     """FunnelConfig's scalar rules, which make_funnel_config checks before any draw."""
     if dense_dim <= 0 or vocab_size <= 0 or n_days <= 0:
         raise ValueError("dense_dim, vocab_size and n_days must be positive")
-    if n_categorical < 0 or drift_rate < 0:
+    if n_categorical < 0 or not drift_rate >= 0:  # NaN fails too
         raise ValueError("n_categorical and drift_rate must be nonnegative")
+    if drift_rate == math.inf:
+        raise ValueError("drift_rate must be finite")
+
+
+def check_batch(dense, cats, dense_dim, n_categorical, vocab_size):
+    """A batch, as the oracle and every model read it: dense (n, dense_dim)
+    and integer cats (n, n_categorical), each index in [0, vocab_size),
+    exactly. Returns float64 dense and int64 cats."""
+    dense = np.asarray(dense, dtype=np.float64)
+    cats = np.asarray(cats)
+    if dense.ndim != 2 or dense.shape[1] != dense_dim:
+        raise ValueError(f"dense must have shape (n, {dense_dim}), got {dense.shape}")
+    if cats.shape != (len(dense), n_categorical) or cats.dtype.kind not in "iu":
+        raise ValueError(f"cats must be an integer array of shape "
+                         f"({len(dense)}, {n_categorical}), got {cats.dtype} {cats.shape}")
+    cats = cats.astype(np.int64, copy=False)
+    # A negative index reads as a huge unsigned one, so one max checks both ends.
+    if cats.size and cats.view(np.uint64).max() >= vocab_size:
+        raise ValueError(f"embedding index out of range [0, {vocab_size}): "
+                         f"min={cats.min()}, max={cats.max()}")
+    return dense, cats
 
 
 def _unit(v):
@@ -143,6 +164,9 @@ def make_funnel_config(dense_dim=16, n_categorical=2, vocab_size=100,
     """
     if seed < 0:
         raise ValueError("seed must be nonnegative")
+    for name, signal in (("dense_signal", dense_signal), ("cat_signal", cat_signal)):
+        if not math.isfinite(signal):
+            raise ValueError(f"{name} must be finite, got {signal}")
     if not 0.0 <= correlation <= 1.0:
         raise ValueError("correlation must be in [0, 1]")
     for name, rate in (("base_click_rate", base_click_rate),
@@ -301,32 +325,19 @@ class GroundTruth:
         self._day_cache[day] = weights
         return weights
 
-    def _check_x(self, dense, cats):
-        """A batch: dense (n, dense_dim) and cats (n, n_categorical), exactly."""
-        dense = np.asarray(dense, dtype=np.float64)
-        cats = np.asarray(cats, dtype=np.int64)
-        cfg = self.config
-        if dense.ndim != 2 or dense.shape[1] != cfg.dense_dim:
-            raise ValueError(f"dense must have shape (n, {cfg.dense_dim}), got {dense.shape}")
-        if cats.shape != (len(dense), cfg.n_categorical):
-            raise ValueError(f"cats must have shape ({len(dense)}, {cfg.n_categorical}), "
-                             f"got {cats.shape}")
-        return dense, cats
-
     def true_ctr(self, dense, cats, day=0):
-        dense, cats = self._check_x(dense, cats)
+        cfg = self.config
+        dense, cats = check_batch(dense, cats, cfg.dense_dim, cfg.n_categorical, cfg.vocab_size)
         click_dense, click_cat, _, _ = self._weights_for_day(day)
-        logits = dense @ click_dense + _cat_contrib(click_cat, cats) + self.config.click_intercept
+        logits = dense @ click_dense + _cat_contrib(click_cat, cats) + cfg.click_intercept
         return _sigmoid(logits)
 
     def true_cvr_given_click(self, dense, cats, day=0):
-        dense, cats = self._check_x(dense, cats)
+        cfg = self.config
+        dense, cats = check_batch(dense, cats, cfg.dense_dim, cfg.n_categorical, cfg.vocab_size)
         _, _, conv_dense, conv_cat = self._weights_for_day(day)
-        logits = dense @ conv_dense + _cat_contrib(conv_cat, cats) + self.config.conv_intercept
+        logits = dense @ conv_dense + _cat_contrib(conv_cat, cats) + cfg.conv_intercept
         return _sigmoid(logits)
-
-    def true_joint(self, dense, cats, day=0):
-        return self.true_ctr(dense, cats, day) * self.true_cvr_given_click(dense, cats, day)
 
     def predict_dataset(self, ds):
         """Oracle predictor with the same surface a trained model exposes;

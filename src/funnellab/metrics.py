@@ -123,28 +123,6 @@ def calibration_ratio(preds, labels, weights=None):
     return float(np.sum(weights * preds) / denom)
 
 
-def normalized_scores(model_ces, baseline_ces):
-    """Per-seed normalized performance: mean(baseline_ces) / model_ce."""
-    model_ces = np.asarray(model_ces, dtype=np.float64)
-    baseline_ces = np.asarray(baseline_ces, dtype=np.float64)
-    if model_ces.size < 2 or baseline_ces.size < 2:
-        raise ValueError("need at least 2 seeds per model")
-    return float(np.mean(baseline_ces)) / model_ces
-
-
-def normalized_performance(model_ces, baseline_ces):
-    """(mean, sem) of baseline-normalized performance.
-
-    The mean is the ratio of means, mean(baseline_ces) / mean(model_ces), so
-    the baseline scored against itself is exactly 1. The SEM is taken over
-    the per-seed scores mean(baseline_ces) / model_ce.
-    """
-    scores = normalized_scores(model_ces, baseline_ces)
-    mean = float(np.mean(baseline_ces) / np.mean(model_ces))
-    sem = float(np.std(scores, ddof=1) / np.sqrt(scores.size))
-    return mean, sem
-
-
 def two_sided_t_test(a, b):
     """Welch's unequal-variance two-sided t-test p-value.
 
@@ -177,17 +155,20 @@ def _unbiased_var(x):
 def compare_models(ces_by_model, baseline):
     """Build ComparisonStats from per-seed cross-entropies, ``{model: {seed:
     ce}}``. A model with fewer than two seeds is left out: its SEM and
-    t-tests need two."""
+    t-tests need two. A per-seed score is mean(baseline CEs) / the model's
+    CE; the mean score is the ratio of means, mean(baseline CEs) / mean(CEs)."""
     ces_by_model = {name: ces for name, ces in ces_by_model.items() if len(ces) >= 2}
     if baseline not in ces_by_model:
         raise ValueError(f"baseline {baseline!r} needs results on at least 2 seeds")
     models = list(ces_by_model)
-    baseline_ces = list(ces_by_model[baseline].values())
+    baseline_mean = np.mean(np.array(list(ces_by_model[baseline].values()), dtype=np.float64))
     means, sems, scores = {}, {}, {}
     for name, ces in ces_by_model.items():
-        values = list(ces.values())
-        means[name], sems[name] = normalized_performance(values, baseline_ces)
-        scores[name] = dict(zip(ces, map(float, normalized_scores(values, baseline_ces))))
+        values = np.array(list(ces.values()), dtype=np.float64)
+        per_seed = baseline_mean / values
+        means[name] = float(baseline_mean / np.mean(values))
+        sems[name] = float(np.std(per_seed, ddof=1) / np.sqrt(per_seed.size))
+        scores[name] = dict(zip(ces, map(float, per_seed)))
     pvalues = {}
     for i, a in enumerate(models):
         for b in models[i + 1:]:

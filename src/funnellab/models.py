@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import funnel as fd
 
 MODEL_NAMES = ("IP", "ESMM", "ESMM-NS", "ESSP-Split", "IPSP", "ESP")
 
@@ -157,20 +158,6 @@ class _Head:
         return out + self.out.params()
 
 
-def _as_batch(net, dense, cats):
-    """A batch: dense (n, dense_input_dim) and integer cats (n, n_categorical),
-    exactly. Every training step passes here, so it reads attributes only."""
-    dense = np.asarray(dense, dtype=np.float64)
-    cats = np.asarray(cats)
-    if dense.ndim != 2 or dense.shape[1] != net.dense_input_dim:
-        raise ValueError(f"forward_heads expects a batch: dense must have shape "
-                         f"(n, {net.dense_input_dim}), got {dense.shape}")
-    if cats.shape != (len(dense), net.n_categorical) or cats.dtype.kind not in "iu":
-        raise ValueError(f"cats must be an integer array of shape "
-                         f"({len(dense)}, {net.n_categorical}), got {cats.dtype} {cats.shape}")
-    return dense, cats.astype(np.int64, copy=False)
-
-
 class Model:
     """A built design: towers, heads, and the prediction compositions."""
 
@@ -184,9 +171,6 @@ class Model:
     @property
     def name(self):
         return self.characteristics.name
-
-    def head_names(self):
-        return tuple(self._heads)
 
     def parameters(self):
         out = []
@@ -202,13 +186,6 @@ class Model:
         stack = self._stacks[self._wiring[head_name]]
         return stack.params() + self._heads[head_name].params()
 
-    def head_exclusive_parameters(self, head_name):
-        """Parameters belonging to the named head only (not the trunk)."""
-        return self._heads[head_name].params()
-
-    def parameter_count(self):
-        return sum(p.value.size for p in self.parameters())
-
     def forward_heads(self, tape, dense, cats, heads=None):
         """Run the heads on one tape; returns nodes keyed ctr/cvr/joint.
 
@@ -216,7 +193,9 @@ class Model:
         under it run. The joint output is the product of the click and
         conditional sigmoids when both are selected, or the direct head.
         """
-        dense, cats = _as_batch(self.net, dense, cats)
+        net = self.net
+        dense, cats = fd.check_batch(dense, cats, net.dense_input_dim, net.n_categorical,
+                                     net.vocab_size)
         heads = tuple(self._heads) if heads is None else heads
         reps = {tower: self._stacks[tower].forward(tape, dense, cats)
                 for tower in dict.fromkeys(self._wiring[name] for name in heads)}
@@ -234,7 +213,9 @@ class Model:
         the last block takes the remainder (so it holds up to twice as many
         rows), and a batch shorter than one block is one forward pass.
         """
-        dense, cats = _as_batch(self.net, dense, cats)
+        net = self.net
+        dense, cats = fd.check_batch(dense, cats, net.dense_input_dim, net.n_categorical,
+                                     net.vocab_size)
         n = len(dense)
         starts = range(0, n - PREDICT_BLOCK_ROWS + 1, PREDICT_BLOCK_ROWS) or [0]
         stops = [*starts[1:], n]
@@ -265,12 +246,12 @@ def build(name, net_config, seed):
     chars = MODEL_TABLE[name]
     rng = np.random.default_rng(seed)
     direct_joint = chars.entire_space and not chars.weighted_cvr
-    head_names = ("ctr", "joint" if direct_joint else "cvr")
+    names = ("ctr", "joint" if direct_joint else "cvr")
     if direct_joint and not chars.shared_params:
-        head_names = ("joint",)
+        names = ("joint",)
     stacks, heads, wiring = {}, {}, {}
-    for head in head_names:
-        tower = "shared" if chars.shared_params or len(head_names) == 1 else f"{head}_tower"
+    for head in names:
+        tower = "shared" if chars.shared_params or len(names) == 1 else f"{head}_tower"
         if tower not in stacks:
             stacks[tower] = _Stack(net_config, rng, tower)
         heads[head] = _Head(stacks[tower].out_dim, net_config, rng, head)

@@ -162,12 +162,11 @@ class TestCriterion6IpspGradientGating:
                              np.array([1] * 4 + [0] * 12),
                              np.array([1] + [0] * 15), np.ones(m),
                              np.ones(m, dtype=int), "fp")
-        cvr_before = [p.value.copy() for p in model.head_exclusive_parameters("cvr")]
+        cvr_before = [p.value.copy() for p in model._heads["cvr"].params()]
         trunk_before = [p.value.copy() for p in model._stacks["shared"].params()]
         tr.train(model, train_ds, eval_ds,
                  tr.TrainConfig(learning_rate=0.05, batch_size=n, epochs=1, seed=0))
-        for before, param in zip(cvr_before,
-                                 model.head_exclusive_parameters("cvr")):
+        for before, param in zip(cvr_before, model._heads["cvr"].params()):
             np.testing.assert_array_equal(before, param.value)
         assert any(not np.array_equal(b, p.value) for b, p in
                    zip(trunk_before, model._stacks["shared"].params()))

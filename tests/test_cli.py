@@ -8,6 +8,8 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,6 +129,19 @@ class TestExperimentConfig:
     def test_unknown_or_malformed_keys_rejected(self, extra, match):
         with pytest.raises(ValueError, match=match):
             tiny_config(**extra)
+
+    @pytest.mark.parametrize("factor,match", [
+        (float("nan"), "downsample_factor must be >= 1"),
+        (float("inf"), "downsample_factor must be finite"),
+        (0.5, "downsample_factor must be >= 1"),
+    ], ids=["nan", "inf", "below-one"])
+    def test_library_caller_gets_downsample_rule(self, factor, match):
+        """A config built in code, not from JSON, gets downsample_negatives'
+        rule 1 <= f < inf when it is made, not inside a seed."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                replace(tiny_config(), downsample_factor=factor)
 
     def test_integer_accepted_for_float_key(self):
         cfg = tiny_config(downsample_factor=3, train={**TINY["train"], "learning_rate": 1})

@@ -1,8 +1,10 @@
 """Funnel generator contracts: label structure, base-rate targeting,
 downsampling calibration, drift determinism, oracle cross-entropy."""
 
+import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +35,14 @@ def _constant_rate_config(p, dense_dim=2, n_days=2):
         base_click_rate_target=p, base_conv_rate_target=p)
 
 
+def _oracle_joint(gt, dense, cats):
+    """The oracle's joint prediction for day-0 rows, through ``predict_dataset``."""
+    n = len(dense)
+    zeros = np.zeros(n, dtype=int)
+    ds = fd.Dataset(dense, cats, zeros, zeros, np.ones(n), zeros, "fp")
+    return gt.predict_dataset(ds)["joint"]
+
+
 class TestGroundTruthProbabilities:
     def test_zero_weights_give_half(self):
         cfg = _constant_rate_config(0.5)
@@ -41,7 +51,7 @@ class TestGroundTruthProbabilities:
         cats = np.zeros((3, 0), dtype=int)
         np.testing.assert_allclose(gt.true_ctr(x, cats), 0.5)
         np.testing.assert_allclose(gt.true_cvr_given_click(x, cats), 0.5)
-        np.testing.assert_allclose(gt.true_joint(x, cats), 0.25)
+        np.testing.assert_allclose(_oracle_joint(gt, x, cats), 0.25)
 
     def test_joint_bounded_by_both_factors(self):
         cfg = _toy_config()
@@ -49,7 +59,7 @@ class TestGroundTruthProbabilities:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((500, cfg.dense_dim))
         cats = rng.integers(0, cfg.vocab_size, (500, cfg.n_categorical))
-        joint = gt.true_joint(x, cats)
+        joint = _oracle_joint(gt, x, cats)
         assert np.all(joint <= gt.true_ctr(x, cats))
         assert np.all(joint <= gt.true_cvr_given_click(x, cats))
 
@@ -60,7 +70,7 @@ class TestGroundTruthProbabilities:
         x = rng.standard_normal((100, cfg.dense_dim))
         cats = rng.integers(0, cfg.vocab_size, (100, cfg.n_categorical))
         np.testing.assert_array_equal(
-            gt.true_joint(x, cats),
+            _oracle_joint(gt, x, cats),
             gt.true_ctr(x, cats) * gt.true_cvr_given_click(x, cats))
 
     def test_hand_set_weights_analytic_sigmoid(self):
@@ -88,11 +98,15 @@ class TestGroundTruthProbabilities:
         cfg = _toy_config()
         gt = fd.GroundTruth(cfg)
         ds = fd.generate_day(cfg, 0, 4, seed=1)
-        dense, cats = {"cats-transposed": (ds.dense, ds.cats.T.copy()),
-                       "single-example": (ds.dense[0], ds.cats[0]),
-                       "cats-1d": (ds.dense[:1], ds.cats[0])}[case]
-        for fn in (gt.true_ctr, gt.true_cvr_given_click, gt.true_joint):
-            with pytest.raises(ValueError, match="must have shape"):
+        dense, cats, match = {
+            "cats-transposed": (ds.dense, ds.cats.T.copy(),
+                                r"cats must be an integer array of shape \(4, 2\)"),
+            "single-example": (ds.dense[0], ds.cats[0], r"dense must have shape \(n, 4\)"),
+            "cats-1d": (ds.dense[:1], ds.cats[0],
+                        r"cats must be an integer array of shape \(1, 2\)"),
+        }[case]
+        for fn in (gt.true_ctr, gt.true_cvr_given_click):
+            with pytest.raises(ValueError, match=match):
                 fn(dense, cats)
 
 
@@ -153,6 +167,38 @@ class TestMakeFunnelConfig:
         monkeypatch.setattr(fd, "_correlated_pair", no_draw)
         with pytest.raises(ValueError, match=match):
             fd.make_funnel_config(**kwargs)
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"drift_rate": math.nan}, "drift_rate must be nonnegative"),
+        ({"drift_rate": math.inf}, "drift_rate must be finite"),
+        ({"dense_signal": math.nan}, "dense_signal must be finite, got nan"),
+        ({"dense_signal": math.inf}, "dense_signal must be finite, got inf"),
+        ({"dense_signal": -math.inf}, "dense_signal must be finite, got -inf"),
+        ({"cat_signal": math.nan}, "cat_signal must be finite, got nan"),
+        ({"cat_signal": math.inf}, "cat_signal must be finite, got inf"),
+    ], ids=["drift-rate-nan", "drift-rate-inf", "dense-signal-nan", "dense-signal-inf",
+            "dense-signal-minus-inf", "cat-signal-nan", "cat-signal-inf"])
+    def test_non_finite_value_rejected_before_any_draw(self, monkeypatch, kwargs, match):
+        """A NaN slips past a ``< 0`` test and an infinite signal makes the
+        weights NaN; each is refused by name, with no numpy warning."""
+        def no_draw(*args):
+            raise AssertionError("weights drawn before the config was checked")
+
+        monkeypatch.setattr(fd, "_correlated_pair", no_draw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                fd.make_funnel_config(n_days=3, **kwargs)
+
+    @pytest.mark.parametrize("drift_rate", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_config_refuses_non_finite_drift(self, drift_rate):
+        with pytest.raises(ValueError, match="drift_rate must be"):
+            dataclasses.replace(_toy_config(), drift_rate=drift_rate)
+
+    def test_negative_signals_still_draw(self):
+        cfg = fd.make_funnel_config(dense_signal=-2.5, cat_signal=-1.25, n_days=2)
+        assert np.linalg.norm(cfg.click_dense) == pytest.approx(2.5)
+        assert np.isfinite(cfg.click_cat).all() and np.isfinite(cfg.conv_intercept)
 
     def test_one_word_vocabulary_allowed_without_categoricals(self):
         cfg = fd.make_funnel_config(dense_dim=2, n_categorical=0, vocab_size=1)

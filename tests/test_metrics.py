@@ -112,17 +112,24 @@ class TestCalibrationRatio:
             metrics.calibration_ratio([0.5], [0.0])
 
 
+def _scores(model_ces, baseline_ces):
+    """(mean, sem) of a model against the baseline, through compare_models."""
+    stats = metrics.compare_models({"B": dict(enumerate(baseline_ces)),
+                                    "M": dict(enumerate(model_ces))}, baseline="B")
+    return stats.mean_norm_perf["M"], stats.sem["M"]
+
+
 class TestNormalizedPerformance:
     def test_baseline_vs_itself_mean_exactly_one(self):
         ces = np.array([0.21, 0.34, 0.27, 0.31])
-        mean, sem = metrics.normalized_performance(ces, ces)
+        mean, sem = _scores(ces, ces)
         assert mean == 1.0
         assert sem > 0
 
     def test_half_ce_scores_two(self):
         baseline = np.array([0.2, 0.2, 0.2])
         model = np.full(3, np.mean(baseline) / 2.0)
-        mean, sem = metrics.normalized_performance(model, baseline)
+        mean, sem = _scores(model, baseline)
         assert mean == pytest.approx(2.0, rel=1e-12)
         assert sem == 0.0
 
@@ -130,12 +137,24 @@ class TestNormalizedPerformance:
         baseline = np.array([0.30, 0.32, 0.28])
         better = baseline * 0.9
         worse = baseline * 1.1
-        assert metrics.normalized_performance(better, baseline)[0] > 1.0
-        assert metrics.normalized_performance(worse, baseline)[0] < 1.0
+        assert _scores(better, baseline)[0] > 1.0
+        assert _scores(worse, baseline)[0] < 1.0
 
-    def test_needs_two_seeds(self):
-        with pytest.raises(ValueError):
-            metrics.normalized_performance([0.2], [0.3, 0.4])
+    @pytest.mark.parametrize("seed,n", [(0, 2), (1, 3), (2, 10), (3, 17)])
+    def test_equals_textbook_forms_bit_for_bit(self, seed, n):
+        """mean(b) / mean(m) for the mean score, the per-seed ratios
+        mean(b) / m for the scores, and their sample std / sqrt(n) for the SEM."""
+        rng = np.random.default_rng(seed)
+        b = rng.uniform(0.1, 0.5, n)
+        ces = {"B": dict(enumerate(b))}
+        for name in ("M1", "M2"):
+            ces[name] = dict(enumerate(rng.uniform(0.1, 0.5, n)))
+        stats = metrics.compare_models(ces, baseline="B")
+        for name, by_seed in ces.items():
+            m = np.array(list(by_seed.values()))
+            assert stats.mean_norm_perf[name] == np.mean(b) / np.mean(m)
+            assert stats.sem[name] == np.std(np.mean(b) / m, ddof=1) / math.sqrt(n)
+            assert stats.norm_scores[name] == dict(enumerate(np.mean(b) / m))
 
 
 class TestTwoSidedTTest:

@@ -20,6 +20,10 @@ NET = md.NetworkConfig(dense_input_dim=4, n_categorical=2, vocab_size=10,
                        head_layer_dims=(4, 4))
 
 
+def _parameter_count(model):
+    return sum(p.value.size for p in model.parameters())
+
+
 def _batch(n=16, seed=0):
     rng = np.random.default_rng(seed)
     dense = rng.standard_normal((n, NET.dense_input_dim))
@@ -57,25 +61,25 @@ class TestBuild:
             md.NetworkConfig(shared_layer_dims=(4,))
 
     def test_ipsp_count_within_5pct_of_esmm(self):
-        ipsp = md.build("IPSP", NET, seed=0).parameter_count()
-        esmm = md.build("ESMM", NET, seed=0).parameter_count()
+        ipsp = _parameter_count(md.build("IPSP", NET, seed=0))
+        esmm = _parameter_count(md.build("ESMM", NET, seed=0))
         assert abs(ipsp - esmm) / esmm < 0.05
 
     def test_ip_is_twice_esp_with_same_tower_dims(self):
-        ip = md.build("IP", NET, seed=0).parameter_count()
-        esp = md.build("ESP", NET, seed=0).parameter_count()
+        ip = _parameter_count(md.build("IP", NET, seed=0))
+        esp = _parameter_count(md.build("ESP", NET, seed=0))
         assert ip == 2 * esp
 
     def test_single_graph_parity_at_default_config(self):
         default = md.NetworkConfig()
-        counts = [md.build(name, default, seed=0).parameter_count()
+        counts = [_parameter_count(md.build(name, default, seed=0))
                   for name in ("ESMM", "ESSP-Split", "IPSP", "ESP")]
         assert max(counts) / min(counts) < 1.05
 
     def test_dual_tower_designs_about_twice_single_graph(self):
         default = md.NetworkConfig()
-        ip = md.build("IP", default, seed=0).parameter_count()
-        esmm = md.build("ESMM", default, seed=0).parameter_count()
+        ip = _parameter_count(md.build("IP", default, seed=0))
+        esmm = _parameter_count(md.build("ESMM", default, seed=0))
         assert 1.8 < ip / esmm < 2.1
 
     def test_esp_has_no_ctr_head(self):
@@ -208,7 +212,7 @@ class TestBlockedPrediction:
 
     def test_missing_batch_axis_rejected(self):
         model = md.build("ESMM", NET, seed=0)
-        with pytest.raises(ValueError, match="expects a batch"):
+        with pytest.raises(ValueError, match=r"dense must have shape \(n, 4\)"):
             model.predict_all(np.zeros(NET.dense_input_dim), np.zeros(2, dtype=int))
 
 
@@ -246,6 +250,54 @@ class TestBatchChecks:
         model = md.build("ESMM", NET, seed=0)
         want = model.predict_all(dense, cats)
         _assert_bit_equal(model.predict_all(dense, cats.astype(np.uint8)), want)
+
+
+class TestOneBatchCheck:
+    """The model and the oracle read a batch through one check, so a bad
+    batch gets the same ValueError from both."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        return fd.GroundTruth(fd.make_funnel_config(
+            dense_dim=NET.dense_input_dim, n_categorical=NET.n_categorical,
+            vocab_size=NET.vocab_size, n_days=1))
+
+    @pytest.mark.parametrize("case,match", [
+        ("float-cats", r"cats must be an integer array of shape \(5, 2\), got float64"),
+        ("index-minus-one", r"embedding index out of range \[0, 10\): min=-1, max="),
+        ("index-at-vocab-size", r"embedding index out of range \[0, 10\): min=\d+, max=10$"),
+        ("cats-too-wide", r"cats must be an integer array of shape \(5, 2\)"),
+        ("dense-too-wide", r"dense must have shape \(n, 4\), got \(5, 5\)"),
+        ("cats-1d", r"cats must be an integer array of shape \(5, 2\)"),
+        ("dense-1d", r"dense must have shape \(n, 4\), got \(4,\)"),
+    ])
+    def test_same_error_from_model_and_oracle(self, oracle, case, match):
+        dense, cats = _batch(5)
+        dense, cats = {
+            "float-cats": (dense, cats.astype(float)),
+            "index-minus-one": (dense, np.where(np.arange(5)[:, None] == 2, -1, cats)),
+            "index-at-vocab-size": (dense, np.where(np.arange(5)[:, None] == 3, 10, cats)),
+            "cats-too-wide": (dense, np.hstack([cats, cats[:, :1]])),
+            "dense-too-wide": (np.hstack([dense, dense[:, :1]]), cats),
+            "cats-1d": (dense, cats[:, 0]),
+            "dense-1d": (dense[0], cats[:1]),
+        }[case]
+        predictors = [md.build("ESMM", NET, seed=0).predict_all,
+                      oracle.true_ctr, oracle.true_cvr_given_click]
+        messages = []
+        for predict in predictors:
+            with pytest.raises(ValueError, match=match) as info:
+                predict(dense, cats)
+            messages.append(str(info.value))
+        assert len(set(messages)) == 1, messages
+
+    def test_no_categorical_columns_pass(self):
+        net = md.NetworkConfig(dense_input_dim=3, n_categorical=0, vocab_size=1,
+                               embedding_dim=2, shared_layer_dims=(4, 4),
+                               head_layer_dims=(2, 2))
+        dense, cats = np.zeros((2, 3)), np.zeros((2, 0), dtype=int)
+        assert fd.check_batch(dense, cats, 3, 0, 1)[1].shape == (2, 0)
+        assert md.build("IP", net, seed=0).predict_all(dense, cats)["joint"].shape == (2,)
 
 
 def _regime(name, click, weight, conversion=None):
@@ -317,7 +369,7 @@ class TestFlagRules:
         direct = c.entire_space and not c.weighted_cvr
         heads = {"joint"} if direct and not c.shared_params else {
             "ctr", "joint" if direct else "cvr"}
-        assert set(model.head_names()) == heads
+        assert set(model._heads) == heads
         out = model.predict_all(*_batch(4))
         assert set(out) == heads | {"joint"}
         if not direct:
@@ -368,11 +420,11 @@ class TestGradientGating:
     def test_ipsp_all_unclicked_batch_leaves_cvr_head_bit_identical(self):
         model = md.build("IPSP", NET, seed=13)
         train_ds, eval_ds = _all_negative_datasets()
-        cvr_before = [p.value.copy() for p in model.head_exclusive_parameters("cvr")]
+        cvr_before = [p.value.copy() for p in model._heads["cvr"].params()]
         trunk_before = [p.value.copy() for p in model._stacks["shared"].params()]
         tr.train(model, train_ds, eval_ds,
                  tr.TrainConfig(learning_rate=0.05, batch_size=64, epochs=1, seed=0))
-        for before, param in zip(cvr_before, model.head_exclusive_parameters("cvr")):
+        for before, param in zip(cvr_before, model._heads["cvr"].params()):
             np.testing.assert_array_equal(before, param.value)
         changed = any(not np.array_equal(b, p.value)
                       for b, p in zip(trunk_before, model._stacks["shared"].params()))
@@ -387,7 +439,7 @@ class TestGradientGating:
         out = model.forward_heads(tape, dense, cats)
         joint_loss = ad.weighted_bce(out["joint"], z, np.ones(16))
         tape.backward(joint_loss)
-        ctr_grads = [p.grad for p in model.head_exclusive_parameters("ctr")]
+        ctr_grads = [p.grad for p in model._heads["ctr"].params()]
         assert any(np.any(g != 0) for g in ctr_grads)
 
     def test_esmm_ns_gradient_routing(self):
