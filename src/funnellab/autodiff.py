@@ -3,11 +3,11 @@
 A ``Tape`` records the forward computation as an ordered list of nodes
 (creation order is topological by construction); ``Tape.backward`` walks the
 list in reverse from a scalar root and accumulates exact partial derivatives
-into every reachable node. First touch sets a node's gradient: a
-contribution its rule computed fresh is kept, one that is another node's
-gradient or a view of it (add, reshape, concat, sum) is copied, and later
-contributions are added in place, so no two nodes share a gradient array.
-Nodes the root never reaches get zeros.
+into every reachable node. One rule decides where gradients live: only a
+watched Param's own gradient array is ever written in place. Any other node
+keeps its first contribution as given, which may be another node's gradient
+or a view of it (add, reshape, concat, sum), and each later contribution
+makes a new array. Nodes the root never reaches keep ``grad`` None.
 
 Parameters (``Param``) live outside the tape so they persist across training
 steps; ``Tape.watch`` binds them as leaf nodes for one forward/backward cycle.
@@ -109,10 +109,8 @@ class Tape:
         """Bind a Param as a leaf node; repeat calls return the same node."""
         node = self._watched.get(param)
         if node is None:
-            nodes = self.nodes
-            node = self._watched[param] = Node(param.value, "param", None, self, len(nodes))
+            node = self._watched[param] = self._record(param.value, "param", None)
             node.param = param
-            nodes.append(node)
         return node
 
     def backward(self, root):
@@ -120,9 +118,9 @@ class Tape:
 
         ``root`` must be a scalar node on this tape. Each node's gradient is
         set when the first contribution reaches it; a node nothing reached
-        runs no backward rule, and ends the pass with an all-zero gradient.
-        After the pass, every watched Param's ``.grad`` is its own gradient
-        array, and the tape is released: it is single-use, and calling
+        runs no backward rule and keeps ``grad`` None, but a watched Param's
+        array is zero-filled: after the pass, every watched Param's ``.grad``
+        is its own gradient array. The tape is then released: calling
         ``backward`` on it again raises ``ValueError``.
         """
         nodes = self.nodes
@@ -137,13 +135,12 @@ class Tape:
             # A node's consumers all come after it, so a node still without a
             # gradient when the walk reaches it is one the root never reaches.
             for node in reversed(nodes[: root.index + 1]):
-                grad = node.grad
-                if grad is None:
-                    _zero_fill(node)
-                elif node.backward_fn is not None:
-                    node.backward_fn(grad)
-            for node in nodes[root.index + 1:]:
-                _zero_fill(node)
+                if node.grad is not None and node.backward_fn is not None:
+                    node.backward_fn(node.grad)
+            # Adam reads every Param's gradient, reached or not.
+            for node in self._watched.values():
+                if node.grad is None:
+                    _accumulate(node, 0.0)
         finally:
             self.release()
 
@@ -154,25 +151,23 @@ class Tape:
         self._watched = None
 
 
-def _accumulate(node, grad, view=False):
+def _accumulate(node, grad):
     """Add one gradient contribution to ``node``.
 
-    A first contribution is kept, unless ``view`` says it is (a view of) an
-    array something else owns, which a later ``+=`` must not change: then
-    it is copied. A watched Param's first contribution goes into the
-    Param's own gradient array, if the rule did not compute it there.
+    A watched Param's contributions are summed in place into its own gradient
+    array (where a rule may have computed the first one). Any other node
+    keeps its first contribution as given and makes a new array for each
+    later one, so no array a node received is ever written to.
     """
-    if node.grad is not None:
+    if node.param is None:
+        node.grad = grad if node.grad is None else node.grad + grad
+    elif node.grad is not None:
         node.grad += grad
-    elif node.param is not None:
+    else:
         buffer = node.param._grad_buffer
         if grad is not buffer:
             buffer[...] = grad
         node.grad = node.param.grad = buffer
-    elif view or type(grad) is not np.ndarray:
-        node.grad = np.array(grad, dtype=np.float64)
-    else:
-        node.grad = grad
 
 
 def _target(node):
@@ -181,16 +176,6 @@ def _target(node):
     if node.grad is None and node.param is not None:
         return node.param._grad_buffer
     return None
-
-
-def _zero_fill(node):
-    """Give a node the root never reached an all-zero gradient."""
-    if node.param is not None:
-        buffer = node.param._grad_buffer
-        buffer.fill(0.0)
-        node.grad = node.param.grad = buffer
-    else:
-        node.grad = np.zeros_like(node.value)
 
 
 def relu(x):
@@ -249,8 +234,8 @@ def add(a, b):
         raise ValueError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")
 
     def backward_fn(out_grad):
-        _accumulate(a, out_grad, view=True)
-        _accumulate(b, out_grad, view=True)
+        _accumulate(a, out_grad)
+        _accumulate(b, out_grad)
 
     return a.tape._record(a.value + b.value, "add", backward_fn)
 
@@ -267,7 +252,7 @@ def scale(x, c):
 
 def reshape(x, shape):
     def backward_fn(out_grad):
-        _accumulate(x, out_grad.reshape(x.value.shape), view=True)
+        _accumulate(x, out_grad.reshape(x.value.shape))
 
     return x.tape._record(x.value.reshape(shape), "reshape", backward_fn)
 
@@ -275,7 +260,7 @@ def reshape(x, shape):
 def vsum(x):
     """Sum all entries of a node into a scalar."""
     def backward_fn(out_grad):
-        _accumulate(x, np.broadcast_to(out_grad, x.value.shape), view=True)
+        _accumulate(x, np.broadcast_to(out_grad, x.value.shape))
 
     return x.tape._record(x.value.sum(), "sum", backward_fn)
 
@@ -288,7 +273,7 @@ def concat(parts):
         stop = 0
         for part in parts:
             start, stop = stop, stop + part.value.shape[-1]
-            _accumulate(part, out_grad[..., start:stop], view=True)
+            _accumulate(part, out_grad[..., start:stop])
 
     return parts[0].tape._record(value, "concat", backward_fn)
 

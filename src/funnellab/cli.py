@@ -2,10 +2,10 @@
 gradient check, behind a ``funnellab`` command line.
 
 Runs are paired by seed: every model trains on byte-identical datasets for a
-given seed, which removes dataset noise from the comparison. Reports are
-pure functions of the experiment config, so reruns produce byte-identical
-CSV output. Seeds run in parallel on forked workers when BLAS leaves cores
-idle (``_map_seeds``); the reports are the same either way.
+given seed, which removes dataset noise from the comparison. At one BLAS
+thread count, reports are pure functions of the experiment config: reruns,
+pooled (``_map_seeds`` forks workers when BLAS leaves cores idle) or
+serial, give byte-identical CSV output. Another count can change last bits.
 
 Exit codes: 0 success, 1 run or check failure, 2 invalid config.
 """

@@ -235,21 +235,29 @@ def _binary_labels(name, values):
     return np.asarray(values, dtype=np.int64)
 
 
+def _whole_numbers(name, values):
+    values = np.asarray(values)
+    if values.dtype.kind == "f" and not np.all(  # NaN and infinities fail the range test
+            (abs(values) < 2.0**63) & (np.trunc(values) == values)):
+        raise ValueError(f"{name} values must be whole numbers in the int64 range")
+    return np.asarray(values, dtype=np.int64)
+
+
 class Dataset:
     """Columnar, immutable collection of examples.
 
-    Construction checks the funnel's invariants: click and conversion labels
-    are 0 or 1, conversion implies click, and weights are finite and
-    nonnegative.
+    Construction checks the funnel's invariants: category and day indices
+    are whole numbers, click and conversion labels are 0 or 1, conversion
+    implies click, and weights are finite and nonnegative.
     """
 
     def __init__(self, dense, cats, click, conversion, weight, day, config_fingerprint):
         self.dense = np.asarray(dense, dtype=np.float64)
-        self.cats = np.asarray(cats, dtype=np.int64)
+        self.cats = _whole_numbers("cats", cats)
         self.click = _binary_labels("click", click)
         self.conversion = _binary_labels("conversion", conversion)
         self.weight = np.asarray(weight, dtype=np.float64)
-        self.day = np.asarray(day, dtype=np.int64)
+        self.day = _whole_numbers("day", day)
         self.config_fingerprint = config_fingerprint
         n = len(self.dense)
         for name, col in (("cats", self.cats), ("click", self.click),
@@ -299,19 +307,13 @@ class GroundTruth:
 
     def __init__(self, config):
         self.config = config
-        self._day_cache = {}
 
     def _weights_for_day(self, day):
         if not 0 <= day < self.config.n_days:
             raise ValueError(f"day {day} outside [0, {self.config.n_days})")
-        cached = self._day_cache.get(day)
-        if cached is not None:
-            return cached
         cfg = self.config
-        click_dense = cfg.click_dense.copy()
-        conv_dense = cfg.conv_dense.copy()
-        click_cat = cfg.click_cat.copy()
-        conv_cat = cfg.conv_cat.copy()
+        click_dense, click_cat, conv_dense, conv_cat = (
+            w.copy() for w in (cfg.click_dense, cfg.click_cat, cfg.conv_dense, cfg.conv_cat))
         if cfg.drift_rate > 0:
             for step in range(1, day + 1):
                 rng = np.random.default_rng(
@@ -321,23 +323,21 @@ class GroundTruth:
                 if cfg.n_categorical:
                     click_cat += cfg.drift_rate * rng.standard_normal(click_cat.shape)
                     conv_cat += cfg.drift_rate * rng.standard_normal(conv_cat.shape)
-        weights = (click_dense, click_cat, conv_dense, conv_cat)
-        self._day_cache[day] = weights
-        return weights
+        return click_dense, click_cat, conv_dense, conv_cat
 
-    def true_ctr(self, dense, cats, day=0):
+    def probabilities(self, dense, cats, day=0):
+        """(CTR, CVR given click) of a batch under day ``day``'s weights."""
         cfg = self.config
         dense, cats = check_batch(dense, cats, cfg.dense_dim, cfg.n_categorical, cfg.vocab_size)
-        click_dense, click_cat, _, _ = self._weights_for_day(day)
-        logits = dense @ click_dense + _cat_contrib(click_cat, cats) + cfg.click_intercept
-        return _sigmoid(logits)
+        return self._probabilities(dense, cats, self._weights_for_day(day))
 
-    def true_cvr_given_click(self, dense, cats, day=0):
+    def _probabilities(self, dense, cats, weights):
+        """``probabilities`` for a checked batch and one day's weights."""
         cfg = self.config
-        dense, cats = check_batch(dense, cats, cfg.dense_dim, cfg.n_categorical, cfg.vocab_size)
-        _, _, conv_dense, conv_cat = self._weights_for_day(day)
-        logits = dense @ conv_dense + _cat_contrib(conv_cat, cats) + cfg.conv_intercept
-        return _sigmoid(logits)
+        click_dense, click_cat, conv_dense, conv_cat = weights
+        click_logits = dense @ click_dense + _cat_contrib(click_cat, cats) + cfg.click_intercept
+        conv_logits = dense @ conv_dense + _cat_contrib(conv_cat, cats) + cfg.conv_intercept
+        return _sigmoid(click_logits), _sigmoid(conv_logits)
 
     def predict_dataset(self, ds):
         """Oracle predictor with the same surface a trained model exposes;
@@ -345,8 +345,7 @@ class GroundTruth:
         ctr, cvr = np.empty(len(ds)), np.empty(len(ds))
         for day in np.unique(ds.day):
             mask = ds.day == day
-            ctr[mask] = self.true_ctr(ds.dense[mask], ds.cats[mask], int(day))
-            cvr[mask] = self.true_cvr_given_click(ds.dense[mask], ds.cats[mask], int(day))
+            ctr[mask], cvr[mask] = self.probabilities(ds.dense[mask], ds.cats[mask], int(day))
         return {"ctr": ctr, "cvr": cvr, "joint": ctr * cvr}
 
 
@@ -364,12 +363,11 @@ def generate_day(config, day, n, seed):
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     gt = GroundTruth(config)
-    gt._weights_for_day(day)  # validates the day index even for n=0
+    weights = gt._weights_for_day(day)  # validates the day index even for n=0
     rng = np.random.default_rng(np.random.SeedSequence([seed, day]))
     dense = rng.standard_normal((n, config.dense_dim))
     cats = rng.integers(0, config.vocab_size, size=(n, config.n_categorical))
-    p_click = gt.true_ctr(dense, cats, day)
-    p_conv = gt.true_cvr_given_click(dense, cats, day)
+    p_click, p_conv = gt._probabilities(dense, cats, weights)  # a batch by construction
     click = (rng.random(n) < p_click).astype(np.int64)
     conversion = click * (rng.random(n) < p_conv).astype(np.int64)
     return Dataset(dense, cats, click, conversion, np.ones(n),

@@ -4,6 +4,7 @@ correctness against central finite differences, and optimizer behavior."""
 import gc
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -196,13 +197,15 @@ class TestBackward:
         with pytest.raises(ValueError):
             tape.backward(vec)
 
-    def test_unreachable_nodes_get_zero_gradient(self):
+    def test_unreachable_node_keeps_no_gradient(self):
         tape = ad.Tape()
         a = _node(tape, 2.0)
         dangling = ad.sigmoid(a)       # not an ancestor of the root
         root = ad.scale(a, 3.0)
+        after = ad.sigmoid(a)          # recorded after the root
         tape.backward(root)
-        assert np.all(dangling.grad == 0.0)
+        assert dangling.grad is None
+        assert after.grad is None
         assert float(a.grad) == 3.0
 
     def test_node_reached_twice_gets_exact_sum(self):
@@ -211,8 +214,8 @@ class TestBackward:
         doubled = ad.add(x, x)
         tape.backward(ad.vsum(ad.scale(doubled, 3.0)))
         np.testing.assert_array_equal(x.grad, [6.0, 6.0, 6.0])
-        # the first contribution to x is a copy, so doubled's own gradient
-        # is not changed by the second one
+        # x keeps doubled's gradient as its first contribution and makes a
+        # new array for the second, so doubled's own gradient is not changed
         np.testing.assert_array_equal(doubled.grad, [3.0, 3.0, 3.0])
 
     def test_shared_trunk_gradient_is_sum_of_heads(self):
@@ -449,45 +452,92 @@ GRAPH_STEPS = st.lists(st.tuples(st.sampled_from(["add_self", "add", "mul", "res
                        min_size=1, max_size=12)
 
 
+def _copying_accumulate(node, grad):
+    """Reference accumulation that copies every first contribution into an
+    array the node owns (a watched Param's own gradient array) and adds
+    later ones to it in place."""
+    if node.grad is not None:
+        node.grad += grad
+    elif node.param is not None:
+        node.param._grad_buffer[...] = grad
+        node.grad = node.param.grad = node.param._grad_buffer
+    else:
+        node.grad = np.array(grad, dtype=np.float64)
+
+
+def _ownership_graph(steps, seed, adopt):
+    """Backward over a graph built from ``steps``; returns every node."""
+    rng = np.random.default_rng(seed)
+    params = [ad.Param(rng.standard_normal((2, 3)), "a"),
+              ad.Param(rng.standard_normal((3, 2)), "b")]
+    if adopt:  # gradient arrays become views of one flat buffer
+        ad.Adam(params, lr=0.1)
+    tape = ad.Tape()
+    built = [tape.watch(p) for p in params] + [tape.constant(rng.standard_normal((2, 3)))]
+    for op, i, j in steps:
+        x = built[i % len(built)]
+        alike = [n for n in built if n.value.shape == x.value.shape]
+        rows = [n for n in built if n.value.ndim == 2 and x.value.ndim == 2
+                and n.value.shape[0] == x.value.shape[0]]
+        if op == "add_self":
+            built.append(ad.add(x, x))
+        elif op in ("add", "mul"):
+            y = alike[j % len(alike)]
+            built.append((ad.add if op == "add" else ad.multiply)(x, y))
+        elif op == "reshape":
+            built.append(ad.reshape(x, x.value.shape[::-1]))
+        elif op == "concat" and rows:
+            built.append(ad.concat([x, rows[j % len(rows)]]))
+        elif op == "sum":
+            built.append(ad.vsum(x))
+    scalars = [ad.vsum(n) if n.value.ndim else n for n in built[-3:]]
+    root = scalars[0]
+    for term in scalars[1:]:
+        root = ad.add(root, term)
+    nodes = list(tape.nodes)
+    tape.backward(root)
+    return nodes
+
+
 class TestGradientOwnership:
     @settings(max_examples=80, deadline=None)
     @given(steps=GRAPH_STEPS, seed=st.integers(0, 2**32 - 1), adopt=st.booleans())
-    def test_no_two_node_gradients_share_memory(self, steps, seed, adopt):
+    def test_gradients_match_copying_rule_and_params_share_nothing(self, steps, seed, adopt):
         """Rules that forward their own gradient or a view of it (add,
-        reshape, concat, sum) hand over copies, and watched parameters get
-        their own arrays, so no two nodes' gradients share memory."""
-        rng = np.random.default_rng(seed)
-        params = [ad.Param(rng.standard_normal((2, 3)), "a"),
-                  ad.Param(rng.standard_normal((3, 2)), "b")]
-        if adopt:  # gradient arrays become views of one flat buffer
-            ad.Adam(params, lr=0.1)
+        reshape, concat, sum) hand it over uncopied, yet every node's
+        gradient has the bits of a rule that copies every contribution, and
+        no watched parameter's gradient shares memory with another node's."""
+        nodes = _ownership_graph(steps, seed, adopt)
+        with mock.patch.object(ad, "_accumulate", _copying_accumulate):
+            reference = _ownership_graph(steps, seed, adopt)
+        for node, ref in zip(nodes, reference, strict=True):
+            assert (node.grad is None) == (ref.grad is None), node
+            if node.grad is not None:
+                got, want = np.asarray(node.grad), np.asarray(ref.grad)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), node
+        for p in (n for n in nodes if n.param is not None):
+            assert p.grad is p.param.grad
+            for other in nodes:
+                if other is not p and other.grad is not None:
+                    assert not np.shares_memory(p.grad, other.grad), (p, other)
+
+    def test_dense_feature_gradient_is_a_view_of_concat_gradient(self):
+        """The dense-feature constant keeps its slice of the concat node's
+        gradient as given, with no copy per training step."""
+        funnel = fd.make_funnel_config(dense_dim=4, n_categorical=1, vocab_size=6,
+                                       n_days=1, seed=3)
+        net = md.NetworkConfig(dense_input_dim=4, n_categorical=1, vocab_size=6,
+                               embedding_dim=3, shared_layer_dims=(8, 6),
+                               head_layer_dims=(4, 4))
+        ds = fd.generate_day(funnel, 0, 40, seed=10)
         tape = ad.Tape()
-        built = [tape.watch(p) for p in params] + [tape.constant(rng.standard_normal((2, 3)))]
-        for op, i, j in steps:
-            x = built[i % len(built)]
-            alike = [n for n in built if n.value.shape == x.value.shape]
-            rows = [n for n in built if n.value.ndim == 2 and x.value.ndim == 2
-                    and n.value.shape[0] == x.value.shape[0]]
-            if op == "add_self":
-                built.append(ad.add(x, x))
-            elif op in ("add", "mul"):
-                y = alike[j % len(alike)]
-                built.append((ad.add if op == "add" else ad.multiply)(x, y))
-            elif op == "reshape":
-                built.append(ad.reshape(x, x.value.shape[::-1]))
-            elif op == "concat" and rows:
-                built.append(ad.concat([x, rows[j % len(rows)]]))
-            elif op == "sum":
-                built.append(ad.vsum(x))
-        scalars = [ad.vsum(n) if n.value.ndim else n for n in built[-3:]]
-        root = scalars[0]
-        for term in scalars[1:]:
-            root = ad.add(root, term)
+        total, _, _ = tr.batch_loss(md.build("ESMM", net, seed=5), tape, ds, np.arange(40))
         nodes = list(tape.nodes)
-        tape.backward(root)
-        for k, a in enumerate(nodes):
-            for b in nodes[k + 1:]:
-                assert not np.shares_memory(a.grad, b.grad), (a, b)
+        tape.backward(total)
+        [const] = [n for n in nodes if n.op == "const"]
+        [joined] = [n for n in nodes if n.op == "concat"]
+        assert const.grad.shape == (40, 4)
+        assert np.shares_memory(const.grad, joined.grad)
 
     def test_unreached_parameter_gets_zero_gradient_every_step(self):
         """A watched parameter the root does not reach gets an exactly-zero

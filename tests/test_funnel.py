@@ -49,8 +49,9 @@ class TestGroundTruthProbabilities:
         gt = fd.GroundTruth(cfg)
         x = np.zeros((3, 2))
         cats = np.zeros((3, 0), dtype=int)
-        np.testing.assert_allclose(gt.true_ctr(x, cats), 0.5)
-        np.testing.assert_allclose(gt.true_cvr_given_click(x, cats), 0.5)
+        ctr, cvr = gt.probabilities(x, cats)
+        np.testing.assert_allclose(ctr, 0.5)
+        np.testing.assert_allclose(cvr, 0.5)
         np.testing.assert_allclose(_oracle_joint(gt, x, cats), 0.25)
 
     def test_joint_bounded_by_both_factors(self):
@@ -60,8 +61,9 @@ class TestGroundTruthProbabilities:
         x = rng.standard_normal((500, cfg.dense_dim))
         cats = rng.integers(0, cfg.vocab_size, (500, cfg.n_categorical))
         joint = _oracle_joint(gt, x, cats)
-        assert np.all(joint <= gt.true_ctr(x, cats))
-        assert np.all(joint <= gt.true_cvr_given_click(x, cats))
+        ctr, cvr = gt.probabilities(x, cats)
+        assert np.all(joint <= ctr)
+        assert np.all(joint <= cvr)
 
     def test_joint_is_exact_product(self):
         cfg = _toy_config()
@@ -69,9 +71,8 @@ class TestGroundTruthProbabilities:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((100, cfg.dense_dim))
         cats = rng.integers(0, cfg.vocab_size, (100, cfg.n_categorical))
-        np.testing.assert_array_equal(
-            _oracle_joint(gt, x, cats),
-            gt.true_ctr(x, cats) * gt.true_cvr_given_click(x, cats))
+        ctr, cvr = gt.probabilities(x, cats)
+        np.testing.assert_array_equal(_oracle_joint(gt, x, cats), ctr * cvr)
 
     def test_hand_set_weights_analytic_sigmoid(self):
         cfg = fd.FunnelConfig(
@@ -83,13 +84,13 @@ class TestGroundTruthProbabilities:
             drift_rate=0.0, n_days=1,
             base_click_rate_target=0.5, base_conv_rate_target=0.5)
         gt = fd.GroundTruth(cfg)
-        got = gt.true_ctr(np.array([[math.log(3.0)]]), np.zeros((1, 0), dtype=int))
+        got, _ = gt.probabilities(np.array([[math.log(3.0)]]), np.zeros((1, 0), dtype=int))
         assert got[0] == pytest.approx(0.75, rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         gt = fd.GroundTruth(_toy_config())
         with pytest.raises(ValueError):
-            gt.true_ctr(np.zeros((2, 7)), np.zeros((2, 2), dtype=int))
+            gt.probabilities(np.zeros((2, 7)), np.zeros((2, 2), dtype=int))
 
     @pytest.mark.parametrize("case", ["cats-transposed", "single-example", "cats-1d"])
     def test_misshapen_batch_rejected(self, case):
@@ -105,9 +106,22 @@ class TestGroundTruthProbabilities:
             "cats-1d": (ds.dense[:1], ds.cats[0],
                         r"cats must be an integer array of shape \(1, 2\)"),
         }[case]
-        for fn in (gt.true_ctr, gt.true_cvr_given_click):
-            with pytest.raises(ValueError, match=match):
-                fn(dense, cats)
+        with pytest.raises(ValueError, match=match):
+            gt.probabilities(dense, cats)
+
+    def test_predict_dataset_checks_each_day_once(self, monkeypatch):
+        """One oracle pass per day: ctr and cvr come from one batch check."""
+        cfg = _toy_config()
+        ds = fd.generate_day(cfg, 1, 50, seed=2)
+        check_batch, calls = fd.check_batch, []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return check_batch(*args)
+
+        monkeypatch.setattr(fd, "check_batch", counted)
+        fd.GroundTruth(cfg).predict_dataset(ds)
+        assert calls == [50]
 
 
 class TestMakeFunnelConfig:
@@ -117,9 +131,9 @@ class TestMakeFunnelConfig:
         rng = np.random.default_rng(99)
         x = rng.standard_normal((400_000, cfg.dense_dim))
         cats = rng.integers(0, cfg.vocab_size, (400_000, cfg.n_categorical))
-        p_click = gt.true_ctr(x, cats)
+        p_click, p_conv = gt.probabilities(x, cats)
         click_rate = p_click.mean()
-        conv_rate = np.average(gt.true_cvr_given_click(x, cats), weights=p_click)
+        conv_rate = np.average(p_conv, weights=p_click)
         assert abs(click_rate - 0.05) < 0.1 * 0.05
         assert abs(conv_rate - 0.10) < 0.1 * 0.10
 
@@ -270,8 +284,8 @@ class TestGenerateDay:
         cfg = fd.make_funnel_config(seed=13)
         gt = fd.GroundTruth(cfg)
         ds = fd.generate_day(cfg, 0, 1_000_000, seed=7)
-        p = gt.true_ctr(ds.dense, ds.cats)
-        # clicks are Bernoulli(true_ctr(x)) given features
+        p, _ = gt.probabilities(ds.dense, ds.cats)
+        # clicks are Bernoulli(ctr(x)) given features
         se = math.sqrt(np.sum(p * (1 - p))) / len(ds)
         assert abs(ds.click.mean() - p.mean()) < 3 * se
         # and the realized feature-averaged rate sits on the solved target
@@ -512,6 +526,24 @@ class TestDatasetChecks:
                         np.array([True, False]), np.array([True, False]),
                         np.array([0.0, 3.0]), np.zeros(2, dtype=int), "fp")
         assert ds.click.dtype == np.int64 and list(ds.conversion) == [1, 0]
+
+    @pytest.mark.parametrize("cats,day,match", [
+        ([[1.7], [0.2]], [0, 1], "cats values must be whole numbers"),
+        ([[1.0], [np.nan]], [0, 1], "cats values must be whole numbers"),
+        ([[1], [0]], [0.5, 0.9], "day values must be whole numbers"),
+        ([[1], [0]], [0.0, np.inf], "day values must be whole numbers"),
+        ([[1], [0]], [0.0, 1e300], "day values must be whole numbers in the int64 range"),
+    ], ids=["cats-fraction", "cats-nan", "day-fraction", "day-inf", "day-huge"])
+    def test_fractional_indices_rejected(self, cats, day, match):
+        with pytest.raises(ValueError, match=match):
+            fd.Dataset(np.zeros((2, 3)), np.array(cats), [0, 1], [0, 0], [1.0, 1.0],
+                       np.array(day), "fp")
+
+    def test_whole_valued_float_indices_accepted(self):
+        ds = fd.Dataset(np.zeros((2, 3)), np.array([[1.0], [0.0]]), [0, 1], [0, 0],
+                        [1.0, 1.0], np.array([2.0, 0.0]), "fp")
+        assert ds.cats.tolist() == [[1], [0]] and ds.day.tolist() == [2, 0]
+        assert ds.cats.dtype == ds.day.dtype == np.int64
 
 
 # One drawn row: (click, conversion if clicked, weight, feature, category, day).

@@ -282,8 +282,7 @@ class TestOneBatchCheck:
             "cats-1d": (dense, cats[:, 0]),
             "dense-1d": (dense[0], cats[:1]),
         }[case]
-        predictors = [md.build("ESMM", NET, seed=0).predict_all,
-                      oracle.true_ctr, oracle.true_cvr_given_click]
+        predictors = [md.build("ESMM", NET, seed=0).predict_all, oracle.probabilities]
         messages = []
         for predict in predictors:
             with pytest.raises(ValueError, match=match) as info:
