@@ -192,10 +192,12 @@ def relu(x):
 def _stable_sigmoid_values(v):
     """1 / (1 + e) where v >= 0 and e / (1 + e) elsewhere, with e = exp(-|v|)
     (no overflow), in one buffer; a 0-d v gives a 0-d array."""
-    e = np.exp(-np.abs(v), out=np.empty(v.shape))
+    e = np.exp(np.copysign(v, -1.0), out=np.empty(v.shape))
     d = 1.0 + e
-    np.divide(e, d, out=e)
-    return np.divide(1.0, d, out=e, where=v >= 0)
+    # e <= 1 where v >= 0, so the larger of (v >= 0) and e is 1 there and e
+    # elsewhere: one plain divide gives both branches.
+    np.maximum(v >= 0, e, out=e)
+    return np.divide(e, d, out=e)
 
 
 # The true sigmoid never reaches either end of (0, 1), so saturated outputs

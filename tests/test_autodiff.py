@@ -119,6 +119,41 @@ class TestSigmoid:
         assert float(out.value) == pytest.approx(0.75, rel=1e-12)
 
 
+def _masked_sigmoid_values(v):
+    """The sigmoid as a masked divide: 1 / (1 + e) where v >= 0, else
+    e / (1 + e), with e = exp(-|v|)."""
+    e = np.exp(-np.abs(v), out=np.empty(v.shape))
+    d = 1.0 + e
+    np.divide(e, d, out=e)
+    return np.divide(1.0, d, out=e, where=v >= 0)
+
+
+class TestStableSigmoidValues:
+    """The plain-divide form gives the masked form's bits everywhere."""
+
+    @staticmethod
+    def _assert_same_bits(v):
+        got, expected = ad._stable_sigmoid_values(v), _masked_sigmoid_values(v)
+        assert got.shape == expected.shape == v.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(width=64), max_size=64),
+           st.floats(0.0, 800.0), st.integers(0, 2 ** 32 - 1))
+    def test_same_bits_as_masked_divide(self, values, scale, seed):
+        rng = np.random.default_rng(seed)
+        self._assert_same_bits(np.array(values, dtype=np.float64))
+        self._assert_same_bits(scale * rng.standard_normal(1000))
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 745.0, -745.0, -800.0,
+        5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+    ])
+    def test_special_values_same_bits(self, value):
+        self._assert_same_bits(np.array(value))        # 0-d
+        self._assert_same_bits(np.full((2, 3), value))
+
+
 class TestWeightedBce:
     def test_half_prediction_is_ln2(self):
         tape = ad.Tape()

@@ -531,12 +531,16 @@ class TestMainCli:
         ({}, ["--out", ""]),
         ({"funnel": {**TINY["funnel"], "dense_dim": 1}}, []),
         ({"funnel": {**TINY["funnel"], "vocab_size": 1}}, []),
+        ({"funnel": {"dense_signal": 40.0}}, []),
+        ({"funnel": {"dense_signal": 100.0}}, []),
+        ({"funnel": {"cat_signal": 60.0}}, []),
     ], ids=["no-baseline", "override-key", "override-model", "top-key", "section-key",
             "models-string", "float-int", "string-int", "negative-rows", "click-rate-above-1",
             "click-rate-0", "click-rate-1", "conv-rate-negative", "click-rate-nan",
             "downsample-flag-inf", "downsample-inf", "learning-rate-nan", "override-inf",
             "dense-signal-nan", "models-repeated", "models-empty", "out-empty",
-            "dense-dim-1", "vocab-size-1"])
+            "dense-dim-1", "vocab-size-1", "dense-signal-40-unreachable",
+            "dense-signal-100-unreachable", "cat-signal-60-unreachable"])
     def test_bad_ablation_input_exits_two_before_training(
             self, tmp_path, monkeypatch, capsys, extra, flags):
         def no_training(*args):
@@ -734,21 +738,33 @@ class TestMainCli:
         assert cli.main(["drift", "--config", str(config)]) == 2
 
 
-def test_setup_never_imports_scipy_stats():
-    """The Welch test needs only scipy.special; scipy.stats costs most of a
-    second to import, so set-up must not load it. Nor does set-up load the
-    seed pool's modules: only a pooled run pays for them."""
+def _src_env():
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_setup_never_imports_scipy_stats():
+    """Only an ablation's comparison needs scipy (scipy.special, for the
+    Welch p-value), so set-up loads none of it: scipy.stats costs most of a
+    second to import, scipy.special 0.1-0.25 s and 26 MB. Nor does set-up load
+    the seed pool's modules: only a pooled run pays for them."""
     code = ("import sys, funnellab.cli; funnellab.cli.config_from_dict({}); "
             "print(*(m in sys.modules for m in sys.argv[1:]))")
-    # scipy.special already loads concurrent.futures itself (through
-    # numpy.testing), so the guard names the pool's own module
     modules = ["scipy.stats", "scipy.special", "multiprocessing", "concurrent.futures.process"]
-    out = subprocess.run([sys.executable, "-c", code, *modules], env=env,
+    out = subprocess.run([sys.executable, "-c", code, *modules], env=_src_env(),
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["False", "True", "False", "False"]
+    assert out.split() == ["False", "False", "False", "False"]
+
+
+def test_drift_run_never_imports_scipy():
+    """A drift run compares no designs, so no scipy module is loaded."""
+    code = ("import json, sys, funnellab.cli as c; "
+            "c.run_drift(c.config_from_dict(json.loads(sys.argv[1])), models=('IP',)); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(TINY)], env=_src_env(),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["[]"]
 
 
 @pytest.fixture

@@ -5,10 +5,11 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from funnellab import funnel as fd
@@ -258,6 +259,82 @@ class TestInterceptBisection:
         weights = rng.random(20_000) if weighted else None
         got = fd._bisect_intercept(logits, target, weights=weights)
         assert got == _reference_intercept(logits, target, weights)
+
+    @staticmethod
+    def _solve_and_estimate(logits, target, weights):
+        """The solve's result, the Newton estimate it used (None: every
+        bisection step was evaluated) and its number of sigmoid evaluations."""
+        estimates, calls = [], []
+        newton, sigmoid = fd._newton_intercept, fd._sigmoid
+
+        def spy(*args):
+            estimates.append(newton(*args))
+            return estimates[-1]
+
+        with mock.patch.object(fd, "_newton_intercept", spy), \
+                mock.patch.object(fd, "_sigmoid", lambda v: calls.append(1) or sigmoid(v)):
+            got = fd._bisect_intercept(logits, target, weights=weights)
+        return got, estimates[0], len(calls)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3000), scale=st.floats(0.0, 15.0), shift=st.floats(-20.0, 20.0),
+           target=st.floats(1e-5, 0.999), weighted=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=3000, scale=2.5, shift=0.0, target=0.05, weighted=False, seed=0)    # skips
+    @example(n=3000, scale=2.5, shift=0.0, target=1e-4, weighted=True, seed=0)     # falls back
+    @example(n=3000, scale=15.0, shift=-20.0, target=0.99, weighted=False, seed=0)  # refused
+    def test_equals_full_200_step_loop_everywhere(self, n, scale, shift, target, weighted, seed):
+        """Skipped steps take the side an evaluation would, so the result
+        is the full loop's; a root the loop pins to -40 or 40 is refused."""
+        rng = np.random.default_rng(seed)
+        logits = shift + scale * rng.standard_normal(n)
+        weights = rng.random(n) if weighted else None
+        expected = _reference_intercept(logits, target, weights)
+        try:
+            got, estimate, _ = self._solve_and_estimate(logits, target, weights)
+        except ValueError as exc:
+            assert "outside [-40, 40]" in str(exc)
+            assert abs(expected) >= 40.0 - 1e-12
+            return
+        event("skip" if estimate is not None else "fallback")
+        assert got == expected
+
+    @pytest.mark.parametrize("target,weighted,skips", [
+        (0.05, False, True), (0.10, True, True), (1e-4, True, False), (0.9995, False, False),
+    ])
+    def test_skip_and_fallback_paths_both_reached(self, target, weighted, skips):
+        """A rate whose slope at the root is at least 2^-10 skips steps; a
+        flatter one evaluates every one of the about 57 bisection steps.
+        Both equal the full loop."""
+        rng = np.random.default_rng(3)
+        logits = 2.5 * rng.standard_normal(5_000)
+        weights = rng.random(5_000) if weighted else None
+        got, estimate, evaluations = self._solve_and_estimate(logits, target, weights)
+        assert (estimate is not None) == skips
+        assert evaluations < 40 if skips else evaluations > 55
+        assert got == _reference_intercept(logits, target, weights)
+
+    def test_default_config_evaluates_at_most_64_sigmoids(self, monkeypatch):
+        """The two solves and the click probabilities between them: 113
+        sigmoid evaluations when every bisection step is evaluated."""
+        calls = []
+        sigmoid = fd._sigmoid
+        monkeypatch.setattr(fd, "_sigmoid", lambda v: calls.append(1) or sigmoid(v))
+        fd.make_funnel_config()
+        assert len(calls) <= 64
+
+    @pytest.mark.parametrize("kwargs,rate", [
+        (dict(dense_signal=40.0), "base_click_rate 0.05"),
+        (dict(dense_signal=100.0), "base_click_rate 0.05"),
+        (dict(cat_signal=60.0), "base_click_rate 0.05"),
+        (dict(dense_signal=20.0), "base_conv_rate 0.1"),
+    ])
+    def test_unreachable_base_rate_refused(self, kwargs, rate):
+        """An intercept pinned at -40 would give a click rate of 0.16 to
+        0.35 against a 0.05 target."""
+        with pytest.raises(ValueError, match=rf"^{rate} is out of reach: its intercept "
+                                             rf"lies outside \[-40, 40\]$"):
+            fd.make_funnel_config(**kwargs)
 
 
 class TestGenerateDay:
