@@ -54,7 +54,6 @@ DEFAULT_CONFIG = {
         "batch_size": 512,
         "epochs": 12,
     },
-    "train_overrides": {},
     "models": list(md.MODEL_NAMES),
     "baseline": "IP",
     "n_seeds": 10,
@@ -81,7 +80,6 @@ class ExperimentConfig:
     n_eval: int
     base_seed: int
     out_dir: str
-    train_overrides: dict
 
     def __post_init__(self):
         if self.n_seeds < 2:
@@ -109,24 +107,10 @@ class ExperimentConfig:
         if self.eval_day >= self.funnel.n_days:
             raise ValueError(
                 f"eval day {self.eval_day} needs funnel.n_days > {self.eval_day}")
-        if not isinstance(self.train_overrides, dict):
-            raise ValueError(f"train_overrides must be an object, got {self.train_overrides!r}")
-        for model_name, overrides in self.train_overrides.items():
-            if model_name not in md.MODEL_NAMES:
-                raise ValueError(f"train_overrides: unknown model {model_name!r}; "
-                                 + _did_you_mean(model_name, md.MODEL_NAMES))
-            # the same keys as the train section: each run sets its own seed
-            _check_keys(f"train_overrides[{model_name!r}]", overrides,
-                        DEFAULT_CONFIG["train"])
-            self.train_config_for(model_name)  # TrainConfig checks the values
 
     @property
     def eval_day(self):
         return self.train_days
-
-    def train_config_for(self, model_name):
-        overrides = self.train_overrides.get(model_name)
-        return replace(self.train, **overrides) if overrides else self.train
 
 
 def _did_you_mean(key, valid):
@@ -248,8 +232,7 @@ def _seed_data(cfg, seed_idx, offsets):
 def _train_one(cfg, model_name, seed_idx, train_ds, eval_ds):
     model = md.build(model_name, cfg.net,
                      _model_init_seed(cfg.base_seed, seed_idx, model_name))
-    run_cfg = replace(cfg.train_config_for(model_name), seed=seed_idx)
-    return tr.train(model, train_ds, eval_ds, run_cfg)
+    return tr.train(model, train_ds, eval_ds, replace(cfg.train, seed=seed_idx))
 
 
 class RunFailed(RuntimeError):
@@ -630,11 +613,8 @@ def run_gradcheck(cfg, log=None):
 
 
 def _load_config(args):
-    """CLI flags override the config file, which overrides DEFAULT_CONFIG.
-
-    Returns (config, models_were_explicit) so subcommands with their own
-    model defaults (drift) can tell a deliberate selection from fallback.
-    """
+    """CLI flags override the config file, which overrides DEFAULT_CONFIG;
+    drift's model list defaults to ``DRIFT_MODELS``, not every design."""
     raw = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -652,7 +632,9 @@ def _load_config(args):
         raw["downsample_factor"] = args.downsample_factor
     if getattr(args, "drift_rate", None) is not None:
         raw.setdefault("funnel", {})["drift_rate"] = args.drift_rate
-    return config_from_dict(raw), "models" in raw
+    if args.command == "drift":
+        raw.setdefault("models", list(DRIFT_MODELS))
+    return config_from_dict(raw)
 
 
 def _add_common_flags(parser):
@@ -688,7 +670,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        cfg, models_explicit = _load_config(args)
+        cfg = _load_config(args)
         if args.command != "gradcheck":
             _out_dir(cfg.out_dir, create=False)  # fail before training, not after
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -704,8 +686,7 @@ def main(argv=None):
         if args.command == "ablation":
             report = run_ablation(cfg, log=print)
         else:
-            report = run_drift(cfg, models=cfg.models if models_explicit else DRIFT_MODELS,
-                               log=print)
+            report = run_drift(cfg, models=cfg.models, log=print)
     except RunFailed as exc:
         print(f"{args.command} run failed: {exc}", file=sys.stderr)
         return 1

@@ -72,13 +72,17 @@ class FunnelConfig:
     def __post_init__(self):
         _check_scalars(self.dense_dim, self.n_categorical, self.vocab_size,
                        self.n_days, self.drift_rate)
-        for name, arr, shape in (
-                ("click_dense", self.click_dense, (self.dense_dim,)),
-                ("conv_dense", self.conv_dense, (self.dense_dim,)),
-                ("click_cat", self.click_cat, (self.n_categorical, self.vocab_size)),
-                ("conv_cat", self.conv_cat, (self.n_categorical, self.vocab_size))):
-            if np.asarray(arr).shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {np.asarray(arr).shape}")
+        # Each weight array is kept as a read-only float64 copy: a write to it
+        # would silently change the oracle, later days and the fingerprint.
+        for name, shape in (("click_dense", (self.dense_dim,)),
+                            ("conv_dense", (self.dense_dim,)),
+                            ("click_cat", (self.n_categorical, self.vocab_size)),
+                            ("conv_cat", (self.n_categorical, self.vocab_size))):
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def fingerprint(self):
         """Stable short hash of every generative parameter."""

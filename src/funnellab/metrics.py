@@ -44,13 +44,13 @@ class MetricsRecord:
 class ComparisonStats:
     """Baseline-normalized comparison across models.
 
-    ``mean_norm_perf[baseline]`` is exactly 1 by construction (ratio of the
-    baseline mean to itself). SEMs are computed over the per-seed normalized
-    scores; p-values are Welch two-sided over the same scores.
+    The baseline's ``mean_norm_perf`` (see ``compare_models``) is exactly 1
+    by construction (ratio of the baseline mean to itself). SEMs are computed
+    over the per-seed normalized scores; p-values are Welch two-sided over
+    the same scores.
     ``better_than[a]`` lists the models ``a`` beats at ``BETTER_THAN_ALPHA``.
     """
 
-    baseline: str
     models: list
     mean_norm_perf: dict
     sem: dict
@@ -178,6 +178,5 @@ def compare_models(ces_by_model, baseline):
                 list(scores[a].values()), list(scores[b].values()))
     better_than = {a: [b for b in models if b != a and means[a] > means[b]
                        and pvalues[(a, b)] < BETTER_THAN_ALPHA] for a in models}
-    return ComparisonStats(baseline=baseline, models=models, mean_norm_perf=means,
-                           sem=sems, pvalues=pvalues, norm_scores=scores,
-                           better_than=better_than)
+    return ComparisonStats(models=models, mean_norm_perf=means, sem=sems, pvalues=pvalues,
+                           norm_scores=scores, better_than=better_than)

@@ -41,6 +41,20 @@ def tiny_config(**overrides):
     return cli.config_from_dict(raw)
 
 
+def _diverge(monkeypatch, model_name):
+    """Train ``model_name`` under the train section with a learning rate of
+    1e300, so its loss really turns non-finite; the other designs train as
+    configured. Forked seed workers inherit the patch."""
+    real = cli._train_one
+
+    def train_one(cfg, name, seed_idx, train_ds, eval_ds):
+        if name == model_name:
+            cfg = replace(cfg, train=replace(cfg.train, learning_rate=1e300))
+        return real(cfg, name, seed_idx, train_ds, eval_ds)
+
+    monkeypatch.setattr(cli, "_train_one", train_one)
+
+
 class TestExperimentConfig:
     def test_defaults_fill_in(self):
         cfg = tiny_config()
@@ -69,27 +83,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             tiny_config(train_days=12)
 
-    def test_per_model_override(self):
-        cfg = tiny_config(train_overrides={"ESMM": {"learning_rate": 0.5}})
-        assert cfg.train_config_for("ESMM").learning_rate == 0.5
-        assert cfg.train_config_for("IP").learning_rate == 0.02
-
-    @pytest.mark.parametrize("overrides,match", [
-        ({"ESPP": {"learning_rate": 0.1}}, "unknown model 'ESPP'"),
-        ({"ESP": {"lr": 0.1}}, "unknown keys \\['lr'\\]"),
-        ({"ESP": {"learning_rate": -1.0}}, "invalid training config"),
-    ], ids=["model", "key", "value"])
-    def test_bad_override_rejected(self, overrides, match):
-        with pytest.raises(ValueError, match=match):
-            tiny_config(train_overrides=overrides)
-
     @pytest.mark.parametrize("extra,match", [
         ({"n_seed": 2}, "config: unknown keys \\['n_seed'\\]; did you mean 'n_seeds'"),
         ({"net": {"embeding_dim": 4}}, "net: unknown keys .*did you mean 'embedding_dim'"),
         ({"funnel": {"drift": 0.1}}, "funnel: unknown keys .*did you mean 'drift_rate'"),
         ({"train": {"seed": 3}}, "train: unknown keys \\['seed'\\]"),
-        ({"train_overrides": {"ESP": {"seed": 3}}}, "unknown keys \\['seed'\\]"),
-        ({"train_overrides": [["ESP", {}]]}, "train_overrides must be an object"),
+        ({"train_overrides": {}},
+         "config: unknown keys \\['train_overrides'\\]; did you mean 'train_days'"),
         ({"net": [4]}, "net must be an object"),
         ({"models": "IP"}, "models must be a list"),
         ({"n_seeds": 2.7}, "config: n_seeds must be an integer, got 2.7"),
@@ -104,8 +104,6 @@ class TestExperimentConfig:
          "net: shared_layer_dims must be a list of integers"),
         ({"net": {"head_layer_dims": "44"}}, "net: head_layer_dims must be a list of integers"),
         ({"train": {"epochs": 1.5}}, "train: epochs must be an integer"),
-        ({"train_overrides": {"ESP": {"batch_size": 64.0}}},
-         "train_overrides\\['ESP'\\]: batch_size must be an integer"),
         ({"out_dir": 5}, "config: out_dir must be a string, got 5"),
         ({"train": {"optimizer": ["adam"]}}, "train: unknown keys \\['optimizer'\\]"),
         ({"train": {"optimizer": "adam"}}, "train: unknown keys \\['optimizer'\\]"),
@@ -113,18 +111,16 @@ class TestExperimentConfig:
         ({"downsample_factor": float("nan")}, "config: downsample_factor must be finite"),
         ({"train": {"learning_rate": float("nan")}}, "train: learning_rate must be finite"),
         ({"train": {"learning_rate": 10 ** 400}}, "train: learning_rate must be finite"),
-        ({"train_overrides": {"ESP": {"learning_rate": float("inf")}}},
-         "train_overrides\\['ESP'\\]: learning_rate must be finite"),
         ({"funnel": {"dense_signal": float("nan")}}, "funnel: dense_signal must be finite"),
         ({"funnel": {"drift_rate": float("nan")}}, "funnel: drift_rate must be finite"),
         ({"funnel": {"cat_signal": float("inf")}}, "funnel: cat_signal must be finite"),
         ({"models": ["IP", "IP", "ESMM"]}, "models must be distinct; repeated: \\['IP'\\]"),
-    ], ids=["top", "net", "funnel", "train", "override-seed", "overrides-list",
+    ], ids=["top", "net", "funnel", "train", "train-overrides",
             "section-list", "models-string", "float-int", "string-int", "bool-int",
             "exponent-int", "string-float", "bool-float", "funnel-int", "funnel-null",
-            "layer-float", "layer-string", "train-int", "override-int", "out-dir-int",
+            "layer-float", "layer-string", "train-int", "out-dir-int",
             "optimizer-list", "optimizer-adam", "downsample-inf", "downsample-nan",
-            "learning-rate-nan", "learning-rate-huge-int", "override-inf",
+            "learning-rate-nan", "learning-rate-huge-int",
             "dense-signal-nan", "drift-rate-nan", "cat-signal-inf", "models-repeated"])
     def test_unknown_or_malformed_keys_rejected(self, extra, match):
         with pytest.raises(ValueError, match=match):
@@ -534,13 +530,14 @@ class TestMainCli:
         ({"funnel": {"dense_signal": 40.0}}, []),
         ({"funnel": {"dense_signal": 100.0}}, []),
         ({"funnel": {"cat_signal": 60.0}}, []),
+        ({"train_overrides": {"IP": {"learning_rate": 0.1}}}, []),
     ], ids=["no-baseline", "override-key", "override-model", "top-key", "section-key",
             "models-string", "float-int", "string-int", "negative-rows", "click-rate-above-1",
             "click-rate-0", "click-rate-1", "conv-rate-negative", "click-rate-nan",
             "downsample-flag-inf", "downsample-inf", "learning-rate-nan", "override-inf",
             "dense-signal-nan", "models-repeated", "models-empty", "out-empty",
             "dense-dim-1", "vocab-size-1", "dense-signal-40-unreachable",
-            "dense-signal-100-unreachable", "cat-signal-60-unreachable"])
+            "dense-signal-100-unreachable", "cat-signal-60-unreachable", "train-overrides"])
     def test_bad_ablation_input_exits_two_before_training(
             self, tmp_path, monkeypatch, capsys, extra, flags):
         def no_training(*args):
@@ -656,13 +653,13 @@ class TestMainCli:
         else:
             assert err.splitlines() == [f"drift run failed: {reason}"]
 
-    def test_baseline_failing_every_seed_keeps_report(self, tmp_path, capsys, recwarn):
+    def test_baseline_failing_every_seed_keeps_report(self, tmp_path, capsys, recwarn,
+                                                      monkeypatch):
         """With no baseline stats the per-run rows are still written, the
         stats output says why, and the command exits 1 without a traceback."""
+        _diverge(monkeypatch, "IP")
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({
-            **TINY, "models": ["IP", "ESMM"],
-            "train_overrides": {"IP": {"learning_rate": 1e300}}}))
+        config.write_text(json.dumps({**TINY, "models": ["IP", "ESMM"]}))
         out_dir = tmp_path / "reports"
         assert cli.main(["ablation", "--config", str(config), "--out", str(out_dir)]) == 1
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
@@ -688,17 +685,32 @@ class TestMainCli:
         assert code == 0
         assert (out_dir / "drift_stats.csv").exists()
 
+    @pytest.mark.parametrize("flags,models", [
+        ([], ["IP", "ESMM"]), (["--models", "ESP"], ["ESP"]),
+    ], ids=["default", "flag"])
+    def test_drift_model_list(self, tmp_path, flags, models):
+        """With no models key and no flag, drift compares IP and ESMM, not
+        every design; a --models flag picks the list instead."""
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(TINY))
+        out_dir = tmp_path / "drift"
+        assert cli.main(["drift", "--config", str(config), "--out", str(out_dir), *flags]) == 0
+        lines = (out_dir / "drift_runs.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+        assert sorted({row[0] for row in rows}) == sorted(models)
+        assert len(rows) == len(models) * TINY["n_seeds"] * len(cli.DRIFT_OFFSETS)
+
     def test_missing_config_file_exit_two(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         assert cli.main(["ablation", "--config", str(missing)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("invalid config: ")
 
-    def test_failed_drift_run_exits_one_naming_the_run(self, tmp_path, capsys, recwarn):
+    def test_failed_drift_run_exits_one_naming_the_run(self, tmp_path, capsys, recwarn,
+                                                       monkeypatch):
+        _diverge(monkeypatch, "IP")
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({
-            **TINY, "models": ["ESMM", "IP"],
-            "train_overrides": {"IP": {"learning_rate": 1e300}}}))
+        config.write_text(json.dumps({**TINY, "models": ["ESMM", "IP"]}))
         out_dir = tmp_path / "drift"
         assert cli.main(["drift", "--config", str(config), "--out", str(out_dir)]) == 1
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
@@ -713,8 +725,9 @@ class TestMainCli:
         ({}, ["--models", "IP,IP"]),
         ({}, ["--models", ""]),
         ({}, ["--out", ""]),
+        ({"train_overrides": {"IP": {"learning_rate": 0.1}}}, []),
     ], ids=["drift-rate-flag-nan", "drift-rate-inf", "models-repeated", "models-empty",
-            "out-empty"])
+            "out-empty", "train-overrides"])
     def test_bad_drift_input_exits_two_before_training(
             self, tmp_path, monkeypatch, capsys, extra, flags):
         def no_training(*args):
@@ -834,10 +847,9 @@ class TestSeedPool:
 
     def test_pooled_drift_failure_names_the_run(self, tmp_path, capsys, monkeypatch,
                                                 two_cores):
+        _diverge(monkeypatch, "IP")
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({
-            **TINY, "n_seeds": 3, "models": ["ESMM", "IP"],
-            "train_overrides": {"IP": {"learning_rate": 1e300}}}))
+        config.write_text(json.dumps({**TINY, "n_seeds": 3, "models": ["ESMM", "IP"]}))
         argv = ["drift", "--config", str(config), "--out", str(tmp_path / "drift")]
         serial = self._main(argv, capsys)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")

@@ -225,6 +225,33 @@ class TestMakeFunnelConfig:
         assert a.fingerprint() != b.fingerprint()
         assert a.fingerprint() == fd.make_funnel_config(seed=1).fingerprint()
 
+    @pytest.mark.parametrize("name", ["click_dense", "click_cat", "conv_dense", "conv_cat"])
+    def test_weight_arrays_read_only(self, name):
+        """A write to a weight array would change the oracle, every later
+        day and the fingerprint behind the frozen config's back."""
+        cfg = _toy_config()
+        fingerprint = cfg.fingerprint()
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cfg, name)[0] = 9.0
+        assert cfg.fingerprint() == fingerprint
+
+    def test_caller_arrays_copied(self):
+        """The config keeps float64 copies: the caller's arrays stay
+        writable, and later writes to them do not reach the config."""
+        click_dense, conv_cat = np.array([1, 2]), np.zeros((1, 3))
+        cfg = fd.FunnelConfig(
+            dense_dim=2, n_categorical=1, vocab_size=3,
+            click_dense=click_dense, click_cat=np.zeros((1, 3)), click_intercept=0.0,
+            conv_dense=np.zeros(2), conv_cat=conv_cat, conv_intercept=0.0,
+            drift_rate=0.0, n_days=1,
+            base_click_rate_target=0.5, base_conv_rate_target=0.5)
+        fingerprint = cfg.fingerprint()
+        click_dense[0], conv_cat[0, 1] = 7, 5.0
+        assert cfg.click_dense.dtype == np.float64
+        np.testing.assert_array_equal(cfg.click_dense, [1.0, 2.0])
+        np.testing.assert_array_equal(cfg.conv_cat, np.zeros((1, 3)))
+        assert cfg.fingerprint() == fingerprint
+
 
 def _reference_intercept(logits, target, weights=None):
     """All 200 bisection steps, with the sigmoid written out in full."""
