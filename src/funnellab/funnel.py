@@ -18,7 +18,7 @@ after creation, so concurrent generation is safe.
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,6 +83,11 @@ class FunnelConfig:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    def __reduce__(self):
+        # Unpickling (how each pooled seed worker receives a config) goes
+        # through __init__ too, so the copy is checked and frozen as well.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def fingerprint(self):
         """Stable short hash of every generative parameter."""

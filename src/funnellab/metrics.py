@@ -3,9 +3,13 @@
 Weighted cross-entropy is the headline metric (calibration matters for
 ranking ad impressions); PR-AUC is computed as weighted average precision.
 Cross-run comparisons use baseline-normalized performance with SEM and a
-Welch two-sided t-test. All functions here are pure.
+Welch two-sided t-test. The t-test's Student-t tail (``_t_two_sided_p``) is
+the regularized incomplete beta function, evaluated as a continued fraction
+by the modified Lentz method, so numpy and the standard library are all this
+module needs. All functions here are pure.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -128,17 +132,14 @@ def two_sided_t_test(a, b):
     Degenerate zero-variance inputs: p = 1 when the constant samples are
     equal, p = 0 when they differ (perfect separation).
     """
-    # Imported here, not at module level: scipy.special adds 26 MB of resident
-    # memory and 0.1-0.25 s to a start-up, and only a comparison needs it.
-    from scipy import special
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size < 2 or b.size < 2:
         raise ValueError("need at least 2 samples per group")
     if np.var(a) == 0.0 and np.var(b) == 0.0:
         return 1.0 if a[0] == b[0] else 0.0
-    # The float operations of scipy.stats.ttest_ind(a, b, equal_var=False),
-    # in the same order, so the p-value is the same to the last bit.
+    # t and df follow the float operations of the reference Welch test, in
+    # its order; only the tail is computed here (_t_two_sided_p).
     va = _unbiased_var(a) / a.size
     vb = _unbiased_var(b) / b.size
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -146,11 +147,72 @@ def two_sided_t_test(a, b):
         t = (np.mean(a) - np.mean(b)) / np.sqrt(va + vb)
     if np.isnan(df):  # 0 / 0: both variances underflow when squared
         df = 1.0
-    return float(2 * special.stdtr(df, -abs(t)))
+    return _t_two_sided_p(float(t), float(df))
+
+
+# The continued fraction stops once a factor is within this of 1, or after
+# this many terms; a denominator below _CF_TINY is replaced by it (Lentz).
+_CF_EPS = 1e-16
+_CF_MAX_TERMS = 10_000
+_CF_TINY = 1e-300
+
+
+def _t_two_sided_p(t, df):
+    """P(|T| >= |t|) for Student's T with ``df`` degrees of freedom.
+
+    This is I_x(df/2, 1/2) with x = df / (df + t^2). Its relative error is
+    below 1e-13 for df <= 20 (Welch's df for n seeds is at most 2n - 2),
+    2e-12 for df <= 200, 2e-11 for df <= 1000 and 2e-9 for df <= 1e5, where
+    the lgamma differences cancel; it peaks near p = 0.1, where the
+    complement 1 - I_y(1/2, df/2) is taken.
+    t = 0 (or a t too small to move p off 1) gives exactly 1, t = +-inf (or
+    a t whose square overflows) gives 0, t = NaN gives NaN, and df = inf
+    gives the normal tail.
+    """
+    if math.isnan(t):
+        return math.nan
+    if df == math.inf:
+        return math.erfc(abs(t) / math.sqrt(2.0))
+    t2 = t * t
+    x, y = df / (df + t2), t2 / (df + t2)
+    if y == 0.0:  # t = 0, or so small that 1 - p underflows
+        return 1.0
+    if x == 0.0:  # t^2 overflows
+        return 0.0
+    return _regularized_beta(df / 2, 0.5, x, y)
+
+
+def _regularized_beta(a, b, x, y):
+    """I_x(a, b), given both x and y = 1 - x so that neither is formed by
+    subtraction. The continued fraction converges fast only below the mode,
+    x < (a + 1) / (a + b + 2); above it, I_x(a, b) = 1 - I_y(b, a)."""
+    flip = x >= (a + 1) / (a + b + 2)
+    if flip:
+        a, b, x, y = b, a, y, x
+    log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                 + a * math.log(x) + b * math.log(y))
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1)
+    d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+    frac = d
+    for m in range(1, _CF_MAX_TERMS):
+        # the even then the odd coefficient of the fraction's m-th pair
+        for coef in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                     -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + coef * d
+            d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+            c = 1.0 + coef / c
+            c = c if abs(c) > _CF_TINY else _CF_TINY
+            step = c * d
+            frac *= step
+        if abs(step - 1.0) < _CF_EPS:
+            break
+    value = math.exp(log_front) * frac / a
+    return 1.0 - value if flip else value
 
 
 def _unbiased_var(x):
-    """Mean squared deviation times n / (n - 1), as scipy.stats computes it."""
+    """Mean squared deviation times n / (n - 1), in the reference test's order."""
     return np.mean((x - np.mean(x, keepdims=True)) ** 2) * (x.size / (x.size - 1))
 
 

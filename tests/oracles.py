@@ -25,6 +25,22 @@ def welch_t_statistic(a, b):
     return t, df
 
 
+def t_tail_df1(t):
+    """Two-sided Student-t tail for one degree of freedom (the Cauchy law),
+    in closed form: 1 - (2/pi) atan|t|."""
+    import math
+
+    return 1.0 - 2.0 / math.pi * math.atan(abs(t))
+
+
+def t_tail_df2(t):
+    """Two-sided Student-t tail for two degrees of freedom, in closed form:
+    1 - |t| / sqrt(2 + t^2)."""
+    import math
+
+    return 1.0 - abs(t) / math.sqrt(2.0 + t * t)
+
+
 def brute_force_pr_auc(preds, labels, weights):
     """Weighted average precision by explicit precision-at-each-positive
     enumeration, descending prediction order with stable tie-break."""

@@ -758,10 +758,9 @@ def _src_env():
 
 
 def test_setup_never_imports_scipy_stats():
-    """Only an ablation's comparison needs scipy (scipy.special, for the
-    Welch p-value), so set-up loads none of it: scipy.stats costs most of a
-    second to import, scipy.special 0.1-0.25 s and 26 MB. Nor does set-up load
-    the seed pool's modules: only a pooled run pays for them."""
+    """numpy is the package's only dependency, so set-up loads no scipy
+    module. Nor does set-up load the seed pool's modules: only a pooled run
+    pays for them."""
     code = ("import sys, funnellab.cli; funnellab.cli.config_from_dict({}); "
             "print(*(m in sys.modules for m in sys.argv[1:]))")
     modules = ["scipy.stats", "scipy.special", "multiprocessing", "concurrent.futures.process"]
@@ -771,13 +770,36 @@ def test_setup_never_imports_scipy_stats():
 
 
 def test_drift_run_never_imports_scipy():
-    """A drift run compares no designs, so no scipy module is loaded."""
+    """numpy is the package's only dependency, so a drift run loads no scipy
+    module."""
     code = ("import json, sys, funnellab.cli as c; "
             "c.run_drift(c.config_from_dict(json.loads(sys.argv[1])), models=('IP',)); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code, json.dumps(TINY)], env=_src_env(),
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["[]"]
+
+
+def test_ablation_runs_without_scipy(tmp_path):
+    """An ablation, Welch p-values included, runs and writes its reports in
+    an interpreter where any scipy import fails."""
+    code = ("import json, sys; sys.modules['scipy'] = None; "
+            "import funnellab.cli as c; "
+            "cfg = c.config_from_dict(json.loads(sys.argv[1])); "
+            "report = c.run_ablation(cfg); c.emit_report(report, sys.argv[2], fmt='both'); "
+            "print(report.failed, len(report.stats.pvalues))")
+    config = {**TINY, "models": ["IP", "ESMM"]}
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(config), str(tmp_path)],
+                         env=_src_env(), capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "2"]
+    for name in ("ablation_runs.csv", "ablation_stats.csv", "ablation_report.json"):
+        assert (tmp_path / name).stat().st_size > 0
+
+
+def _weight_flags(cfg, seed_idx):
+    """Whether each funnel weight array is writable, where this runs."""
+    return [getattr(cfg.funnel, name).flags.writeable
+            for name in ("click_dense", "click_cat", "conv_dense", "conv_cat")]
 
 
 @pytest.fixture
@@ -844,6 +866,12 @@ class TestSeedPool:
         for name in names:
             assert ((tmp_path / "pooled" / name).read_bytes()
                     == (tmp_path / "serial" / name).read_bytes()), name
+
+    def test_workers_get_read_only_weights(self, monkeypatch, two_cores):
+        """A worker unpickles its config, which keeps its weight arrays
+        read-only there too."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert cli._map_seeds(_weight_flags, tiny_config()) == [[False] * 4] * TINY["n_seeds"]
 
     def test_pooled_drift_failure_names_the_run(self, tmp_path, capsys, monkeypatch,
                                                 two_cores):

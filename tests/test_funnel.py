@@ -3,6 +3,7 @@ downsampling calibration, drift determinism, oracle cross-entropy."""
 
 import dataclasses
 import math
+import pickle
 import tracemalloc
 import warnings
 from unittest import mock
@@ -125,6 +126,7 @@ class TestGroundTruthProbabilities:
         assert calls == [50]
 
 
+@pytest.mark.usefixtures("uncached_config_builds")
 class TestMakeFunnelConfig:
     def test_realized_rates_hit_targets_within_10_percent(self):
         cfg = fd.make_funnel_config(base_click_rate=0.05, base_conv_rate=0.10, seed=3)
@@ -235,6 +237,15 @@ class TestMakeFunnelConfig:
             getattr(cfg, name)[0] = 9.0
         assert cfg.fingerprint() == fingerprint
 
+    def test_unpickled_config_read_only(self):
+        """A config sent to a seed worker is pickled; the copy goes through
+        the same checks and keeps read-only arrays and the fingerprint."""
+        cfg = _toy_config()
+        copy = pickle.loads(pickle.dumps(cfg))
+        for name in ("click_dense", "click_cat", "conv_dense", "conv_cat"):
+            assert not getattr(copy, name).flags.writeable
+        assert copy.fingerprint() == cfg.fingerprint()
+
     def test_caller_arrays_copied(self):
         """The config keeps float64 copies: the caller's arrays stay
         writable, and later writes to them do not reach the config."""
@@ -268,6 +279,7 @@ def _reference_intercept(logits, target, weights=None):
     return 0.5 * (lo + hi)
 
 
+@pytest.mark.usefixtures("uncached_config_builds")
 class TestInterceptBisection:
     """Stopping once the bracket cannot shrink further returns exactly what
     the full 200 steps return."""
@@ -721,6 +733,7 @@ class TestDatasetProperties:
         assert _rows(out) == [_rows(ds)[i] for i in source]
 
 
+@pytest.mark.usefixtures("uncached_config_builds")
 class TestInterceptSampleInBlocks:
     """``make_funnel_config`` draws its intercept sample block by block and
     keeps only the logits; the result is the one-piece draw's, bit for bit."""

@@ -6,11 +6,22 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special as scipy_special
 from scipy import stats as scipy_stats
 
 from funnellab import metrics
 
-from oracles import brute_force_pr_auc, welch_t_statistic
+from oracles import brute_force_pr_auc, t_tail_df1, t_tail_df2, welch_t_statistic
+
+# How far the Welch p-value may sit from scipy's, relative, where Welch's df
+# is small (at most 2n - 2 for n seeds): the Student-t tail is computed in
+# house, so its last bits differ from scipy's.
+WELCH_P_REL = 1e-12
+# The same bound for the tail over df in [1, 1000], where lgamma differences
+# cancel (worst seen against scipy.special.stdtr: 1.0e-11).
+T_TAIL_REL = 5e-11
 
 
 class TestWeightedCe:
@@ -199,7 +210,7 @@ class TestTwoSidedTTest:
             a = 1.0 + scale * rng.standard_normal(na)
             b = 1.0 + scale * (rng.uniform(-1, 1) + rng.uniform(0.1, 3) * rng.standard_normal(nb))
             expected = scipy_stats.ttest_ind(a, b, equal_var=False).pvalue
-            assert metrics.two_sided_t_test(a, b) == expected
+            assert metrics.two_sided_t_test(a, b) == pytest.approx(expected, rel=WELCH_P_REL)
 
     def test_one_zero_variance_group_equals_scipy(self):
         rng = np.random.default_rng(7)
@@ -212,7 +223,61 @@ class TestTwoSidedTTest:
                 with warnings.catch_warnings():
                     warnings.filterwarnings("ignore", "Precision loss", RuntimeWarning)
                     expected = scipy_stats.ttest_ind(a, b, equal_var=False).pvalue
-                assert metrics.two_sided_t_test(a, b) == expected
+                assert metrics.two_sided_t_test(a, b) == pytest.approx(expected,
+                                                                       rel=WELCH_P_REL)
+
+
+class TestStudentTTail:
+    """``_t_two_sided_p``, the tail behind the Welch p-value."""
+
+    @pytest.mark.parametrize("df,oracle", [(1.0, t_tail_df1), (2.0, t_tail_df2)],
+                             ids=["df1", "df2"])
+    def test_closed_forms(self, df, oracle):
+        """The oracles subtract from 1, so they are exact only to a few units
+        of 1e-16 in absolute terms; the bound is absolute too."""
+        ts = np.concatenate([np.linspace(-60.0, 60.0, 4801), 10.0 ** np.arange(-12.0, 2.0)])
+        for t in map(float, ts):
+            assert abs(metrics._t_two_sided_p(t, df) - oracle(t)) <= 1e-13, t
+
+    @settings(max_examples=300, deadline=None)
+    @given(df=st.floats(1.0, 1000.0), t=st.floats(-60.0, 60.0),
+           grow=st.floats(1e-3, 60.0))
+    def test_matches_scipy_and_falls_with_abs_t(self, df, t, grow):
+        """Within T_TAIL_REL of scipy (or both below 1e-300, where the tail
+        underflows), in [0, 1], even in t, and no higher at a larger |t|: the
+        step is at least 1e-3, because a step within the tail's own rounding
+        could move p either way. At df = 1 the reference is the closed form:
+        scipy's own df = 1 branch is off by up to 6e-10 relative near p = 1
+        (t around 1e-9)."""
+        p = metrics._t_two_sided_p(t, df)
+        expected = t_tail_df1(t) if df == 1.0 else 2.0 * scipy_special.stdtr(df, -abs(t))
+        assert math.isclose(p, expected, rel_tol=T_TAIL_REL, abs_tol=1e-300)
+        assert 0.0 <= p <= 1.0
+        assert metrics._t_two_sided_p(-t, df) == p
+        assert metrics._t_two_sided_p(abs(t) + grow, df) <= p
+
+    @pytest.mark.parametrize("df", [1.0, 2.5, 18.0, 1000.0])
+    def test_special_values(self, df):
+        """As scipy gives them: exactly 1 at t = 0, 0 at infinite t, NaN at NaN."""
+        tail = metrics._t_two_sided_p
+        assert tail(0.0, df) == tail(-0.0, df) == 1.0 == 2.0 * scipy_special.stdtr(df, -0.0)
+        assert tail(math.inf, df) == tail(-math.inf, df) == 0.0
+        assert 2.0 * scipy_special.stdtr(df, -math.inf) == 0.0
+        assert math.isnan(tail(math.nan, df)) and math.isnan(scipy_special.stdtr(df, math.nan))
+
+    def test_infinite_df_is_normal_tail(self):
+        """Welch's df is infinite when the squared variances underflow and
+        the squared sum does not; the p-value is then the normal tail."""
+        rng = np.random.default_rng(0)
+        for scale in (4e-81, 5e-81):
+            a = scale * rng.standard_normal(10)
+            b = scale * (1.0 + rng.standard_normal(10))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                expected = scipy_stats.ttest_ind(a, b, equal_var=False)
+            assert expected.df == math.inf
+            assert metrics.two_sided_t_test(a, b) == pytest.approx(expected.pvalue,
+                                                                   rel=WELCH_P_REL)
 
 
 class TestCompareModels:
